@@ -10,10 +10,9 @@ file formats, and a synthetic scene generator that closes the loop for
 testing. The ``mono3dkit`` command exposes the main workflows.
 """
 
-from .camera import CameraModel, RayField, backproject, project, ray_directions, ray_field
+from .camera import CameraModel, RayField, backproject, project, projected_box2d, ray_directions, ray_field
 from .codec import (
     BoxEncoding12,
-    ConfidenceTarget,
     confidence_target,
     decode_box,
     depth_quality,
@@ -78,7 +77,6 @@ from .lifting import (
     largest_cluster,
     lift_annotation,
     optimize_translation,
-    projected_box2d,
     projection_loss,
     remove_outliers,
     sample_anchors,

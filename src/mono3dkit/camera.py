@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CameraModel", "RayField", "project", "backproject", "ray_directions", "ray_field"]
+from .geometry import Box2D, Box3D
+
+__all__ = ["CameraModel", "RayField", "project", "projected_box2d", "backproject", "ray_directions", "ray_field"]
 
 _MIN_DEPTH = 1e-9
 
@@ -80,6 +82,12 @@ def project(camera: CameraModel, points) -> np.ndarray:
     u = camera.fx * pts[..., 0] / z + camera.cx
     v = camera.fy * pts[..., 1] / z + camera.cy
     return np.stack([u, v], axis=-1)
+
+
+def projected_box2d(box: Box3D, camera: CameraModel) -> Box2D:
+    """Axis-aligned pixel box around the projected 3D corners (see :func:`project`)."""
+    px = project(camera, box.corners())
+    return Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
 
 
 def backproject(camera: CameraModel, pixels, depth) -> np.ndarray:

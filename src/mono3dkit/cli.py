@@ -14,7 +14,7 @@ files are written atomically and carry the effective configuration under a
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dataio
 from .camera import CameraModel
-from .evaluation import evaluate
+from .evaluation import Detection, GroundTruth, evaluate
 from .filters import geometric_filter, occlusion_ratio, ratio_filters, size_filter
 from .geometry import Box3D, iou3d, iou3d_monte_carlo
 from .lifting import OptimizerConfig, lift_annotation
@@ -34,6 +34,15 @@ __all__ = ["main"]
 
 class InputError(ValueError):
     """User-correctable problem: bad paths, malformed files, bad flags."""
+
+
+@contextlib.contextmanager
+def _input_errors(prefix: str = ""):
+    """Re-raise a ValueError from the block as an InputError, message prefixed."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError(f"{prefix}{exc}") from exc
 
 
 def _default_threads() -> int:
@@ -65,10 +74,8 @@ def _config_echo(args: argparse.Namespace) -> dict:
 def _read_dataset(path: str) -> dataio.DatasetFile:
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
-    try:
+    with _input_errors():
         return dataio.read_dataset(path)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -76,20 +83,59 @@ def _read_dataset(path: str) -> dataio.DatasetFile:
 # ---------------------------------------------------------------------------
 
 
+def detections_from_dataset(ds: dataio.DatasetFile):
+    """Annotations with 3D geometry and both scores become detections."""
+    dets = []
+    for a in ds.annotations:
+        if not a.has_3d:
+            continue
+        if a.s2d is None or a.s3d is None:
+            raise ValueError(f"annotation {a.id!r}: predictions need s2d and s3d")
+        dets.append(
+            Detection(
+                image_id=a.image_id,
+                category=a.category,
+                box3d=a.box3d(),
+                box2d=a.box2d_obj(),
+                s2d=a.s2d,
+                s3d=a.s3d,
+            )
+        )
+    return dets
+
+
+def ground_truths_from_dataset(ds: dataio.DatasetFile):
+    """Every annotation becomes a ground truth; ignored ones carry no 3D box."""
+    gts = []
+    for a in ds.annotations:
+        gts.append(
+            GroundTruth(
+                image_id=a.image_id,
+                category=a.category,
+                box2d=a.box2d_obj(),
+                box3d=a.box3d() if (a.has_3d and not a.ignore3d) else None,
+                ignore3d=a.ignore3d,
+            )
+        )
+    return gts
+
+
 def _cmd_eval(args) -> int:
+    if args.max_dets < 1:
+        raise InputError("--max-dets must be at least 1")
     gt = _read_dataset(args.gt)
     pred = _read_dataset(args.pred)
     symmetric = ()
     if args.symmetric_categories:
         if not os.path.exists(args.symmetric_categories):
             raise InputError(f"no such file: {args.symmetric_categories}")
-        with open(args.symmetric_categories, "r", encoding="utf-8") as f:
-            symmetric = tuple(line.strip() for line in f if line.strip())
-    try:
-        dets = dataio.detections_from_dataset(pred)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    gts = dataio.ground_truths_from_dataset(gt)
+        with _input_errors(f"{args.symmetric_categories}: "):
+            with open(args.symmetric_categories, "r", encoding="utf-8") as f:
+                symmetric = tuple(line.strip() for line in f if line.strip())
+    with _input_errors(f"{args.pred}: "):
+        dets = detections_from_dataset(pred)
+    with _input_errors(f"{args.gt}: "):
+        gts = ground_truths_from_dataset(gt)
     result = evaluate(
         dets,
         gts,
@@ -144,17 +190,10 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lift_one(ann, image, cloud, depth_map, instances, size_specs, args):
+def _lift_one(ann, image, cloud, depth_map, instances, size_specs, config, args):
     mask = instances == ann.instance
     camera = image.camera
-    candidate = lift_annotation(
-        cloud,
-        mask,
-        ann.box2d_obj(),
-        camera,
-        config=OptimizerConfig(grid_size=args.grid_size),
-        seed=args.seed,
-    )
+    candidate = lift_annotation(cloud, mask, ann.box2d_obj(), camera, config=config, seed=args.seed)
     record = {
         "annotation_id": ann.id,
         "image_id": ann.image_id,
@@ -185,13 +224,28 @@ def _lift_one(ann, image, cloud, depth_map, instances, size_specs, args):
     return record
 
 
+def _read_rasters(image, depth_file: str, inst_file: str):
+    """Depth map, instance map and scene cloud of one image."""
+    with _input_errors():
+        depth = dataio.read_depth(depth_file)
+        instances = dataio.read_instance_map(inst_file)
+    if instances.shape != depth.shape:
+        raise InputError(f"{inst_file}: instance map is {instances.shape}, depth map is {depth.shape}")
+    with _input_errors(f"{depth_file}: "):
+        cloud = dataio.cloud_from_depth(depth, image.camera)
+    return depth, instances, cloud
+
+
 def _cmd_lift(args) -> int:
+    with _input_errors("--grid-size: "):
+        config = OptimizerConfig(grid_size=args.grid_size)
     ds = _read_dataset(args.dataset)
     size_specs = None
     if args.size_spec:
         if not os.path.exists(args.size_spec):
             raise InputError(f"no such file: {args.size_spec}")
-        size_specs = dataio.read_size_specs(args.size_spec)
+        with _input_errors():
+            size_specs = dataio.read_size_specs(args.size_spec)
     images = ds.image_by_id()
     records = []
     for image in sorted(ds.images, key=lambda im: im.id):
@@ -206,12 +260,10 @@ def _cmd_lift(args) -> int:
             raise InputError(f"no such depth file: {depth_file}")
         if not os.path.exists(inst_file):
             raise InputError(f"no such instance map: {inst_file}")
-        depth = dataio.read_depth(depth_file)
-        instances = dataio.read_instance_map(inst_file)
-        cloud = dataio.cloud_from_depth(depth, image.camera)
+        depth, instances, cloud = _read_rasters(image, depth_file, inst_file)
         for ann in sorted(anns, key=lambda a: a.id):
             try:
-                records.append(_lift_one(ann, images[ann.image_id], cloud, depth, instances, size_specs, args))
+                records.append(_lift_one(ann, images[ann.image_id], cloud, depth, instances, size_specs, config, args))
             except ValueError as exc:
                 records.append(
                     {
@@ -243,17 +295,20 @@ def _scene_files(scene: SynthScene, out_dir: str):
 
 
 def _cmd_synth(args) -> int:
-    camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
-    spec = SynthSpec(
-        n_boxes=args.boxes,
-        noise_sigma=args.noise_sigma,
-        floor_y=None if args.no_floor else args.floor_y,
-        categories=tuple(args.categories.split(",")),
-    )
+    with _input_errors("--fx/--fy/--width/--height: "):
+        camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
+    with _input_errors("--boxes: "):
+        spec = SynthSpec(
+            n_boxes=args.boxes,
+            noise_sigma=args.noise_sigma,
+            floor_y=None if args.no_floor else args.floor_y,
+            categories=tuple(args.categories.split(",")),
+        )
     os.makedirs(args.out_dir, exist_ok=True)
     ds = dataio.DatasetFile()
     for k in range(args.scenes):
-        scene = synth_scene(spec, camera, seed=args.seed + k, image_id=f"synth-{args.seed + k:06d}")
+        with _input_errors(f"scene seed {args.seed + k}: "):
+            scene = synth_scene(spec, camera, seed=args.seed + k, image_id=f"synth-{args.seed + k:06d}")
         _scene_files(scene, args.out_dir)
         ds.images.append(scene.image)
         ds.annotations.extend(scene.annotations)
@@ -271,10 +326,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_sample(args) -> int:
     ds = _read_dataset(args.dataset)
-    try:
+    with _input_errors():
         result = sample_eval_split(ds, SamplerTargets(), size=args.size, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     doc = {
         "config": _config_echo(args),
         "image_ids": result.image_ids,
@@ -307,11 +360,9 @@ def _parse_box(values) -> Box3D:
 def _cmd_iou(args) -> int:
     if args.mc_samples < 1:
         raise InputError("--mc-samples must be at least 1")
-    try:
+    with _input_errors("bad box: "):
         a = _parse_box(args.box_a)
         b = _parse_box(args.box_b)
-    except ValueError as exc:
-        raise InputError(f"bad box: {exc}") from exc
     exact = iou3d(a, b)
     mc = iou3d_monte_carlo(a, b, n_samples=args.mc_samples, seed=args.seed)
     sys.stdout.write(f"exact {exact:.6f}, mc {mc:.3f} (n={args.mc_samples})\n")
@@ -398,7 +449,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -31,7 +31,6 @@ __all__ = [
     "encode_box",
     "decode_box",
     "depth_quality",
-    "ConfidenceTarget",
     "confidence_target",
     "fuse_score",
 ]
@@ -122,25 +121,11 @@ def depth_quality(pred_log_depth: float, gt_log_depth: float) -> float:
     return math.exp(-abs(float(pred_log_depth) - float(gt_log_depth)))
 
 
-@dataclass(frozen=True)
-class ConfidenceTarget:
-    """Soft 3D confidence target blending depth quality and 3D IoU."""
-
-    q_depth: float
-    iou3d: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.q_depth <= 1.0 and 0.0 <= self.iou3d <= 1.0):
-            raise ValueError("confidence target components must be in [0, 1]")
-
-    @property
-    def qstar(self) -> float:
-        return _DEPTH_QUALITY_WEIGHT * self.q_depth + (1.0 - _DEPTH_QUALITY_WEIGHT) * self.iou3d
-
-
 def confidence_target(q_depth: float, iou: float) -> float:
-    """Blended confidence target 0.7 * q_depth + 0.3 * iou3d."""
-    return ConfidenceTarget(q_depth=q_depth, iou3d=iou).qstar
+    """Soft 3D confidence target 0.7 * q_depth + 0.3 * iou3d; both lie in [0, 1]."""
+    if not (0.0 <= q_depth <= 1.0 and 0.0 <= iou <= 1.0):
+        raise ValueError("confidence target components must be in [0, 1]")
+    return _DEPTH_QUALITY_WEIGHT * q_depth + (1.0 - _DEPTH_QUALITY_WEIGHT) * iou
 
 
 def fuse_score(score_2d: float, score_3d: float) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraModel, backproject
-from .evaluation import Detection, GroundTruth
 from .filters import SizeSpec
 from .geometry import Box2D, Box3D
 
@@ -41,8 +40,6 @@ __all__ = [
     "read_size_specs",
     "write_size_specs",
     "cloud_from_depth",
-    "detections_from_dataset",
-    "ground_truths_from_dataset",
 ]
 
 DATASET_FORMAT = "wd3d-dataset"
@@ -119,11 +116,19 @@ def canonical_json(obj) -> str:
 
 
 def atomic_write_bytes(path: str, data: bytes):
-    """Write via a temp file in the same directory, then rename over."""
+    """Write via a temp file in the same directory, then rename over.
+
+    The temp file is removed when the write or the rename fails.
+    """
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str):
@@ -179,7 +184,10 @@ class AnnotationRecord:
     def box3d(self) -> Box3D:
         if not self.has_3d:
             raise ValueError(f"annotation {self.id!r} has no 3D geometry")
-        return Box3D(np.array(self.center), np.array(self.dims), np.array(self.quaternion))
+        try:
+            return Box3D(np.array(self.center), np.array(self.dims), np.array(self.quaternion))
+        except ValueError as exc:
+            raise ValueError(f"annotation {self.id!r}: {exc}") from exc
 
     def box2d_obj(self) -> Box2D:
         return Box2D(*self.box2d)
@@ -318,21 +326,43 @@ def _parse_annotation(obj: dict) -> AnnotationRecord:
     )
 
 
-def read_dataset(path: str) -> DatasetFile:
+def _read_document(path: str, fmt: str) -> dict:
+    """The JSON object in ``path``, checked to carry ``"format": fmt``.
+
+    Raises:
+        ValueError: naming the path, for text that is not JSON, a top
+            level that is not an object, or another format.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: not a {DATASET_FORMAT} document")
-    if int(doc.get("version", 0)) > DATASET_VERSION:
-        raise ValueError(f"{path}: unsupported version {doc['version']}")
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValueError(f"{path}: not a {fmt} document")
+    return doc
+
+
+def read_dataset(path: str) -> DatasetFile:
+    """Parse and validate a dataset document.
+
+    Raises:
+        ValueError: naming the path, for a document of another format or
+            version, a malformed record, or a failed schema check.
+    """
+    doc = _read_document(path, DATASET_FORMAT)
     try:
+        if int(doc.get("version", 0)) > DATASET_VERSION:
+            raise ValueError(f"unsupported version {doc['version']}")
         ds = DatasetFile(
             images=[_parse_image(o) for o in doc.get("images", [])],
             annotations=[_parse_annotation(o) for o in doc.get("annotations", [])],
         )
+        validate_dataset(ds)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc
-    validate_dataset(ds)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return ds
 
 
@@ -350,6 +380,8 @@ def _write_raster(path: str, magic: bytes, array: np.ndarray, dtype: str):
 def _read_raster(path: str, magic: bytes, dtype: str, itemsize: int) -> np.ndarray:
     with open(path, "rb") as f:
         blob = f.read()
+    if len(blob) < 14:
+        raise ValueError(f"{path}: header is {len(blob)} bytes, expected 14")
     if blob[:4] != magic:
         raise ValueError(f"{path}: bad magic {blob[:4]!r}")
     version, w, h = struct.unpack("<HII", blob[4:14])
@@ -419,23 +451,29 @@ def write_size_specs(specs: dict, path: str):
 
 
 def read_size_specs(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != SIZESPEC_FORMAT:
-        raise ValueError(f"{path}: not a {SIZESPEC_FORMAT} document")
+    """dict of category -> SizeSpec.
+
+    Raises:
+        ValueError: naming the path, for a document of another format or
+            a malformed record.
+    """
+    doc = _read_document(path, SIZESPEC_FORMAT)
     out = {}
-    for obj in doc.get("categories", []):
-        spec = SizeSpec(
-            category=obj["category"],
-            shortest=tuple(obj["shortest"]),
-            middle=tuple(obj["middle"]),
-            longest=tuple(obj["longest"]),
-            max_depth_ratio=float(obj["max_depth_ratio"]),
-            is_flat=bool(obj.get("is_flat", False)),
-            is_elongated=bool(obj.get("is_elongated", False)),
-            fixed_size=bool(obj.get("fixed_size", True)),
-        )
-        out[spec.category] = spec
+    try:
+        for obj in doc.get("categories", []):
+            spec = SizeSpec(
+                category=obj["category"],
+                shortest=tuple(obj["shortest"]),
+                middle=tuple(obj["middle"]),
+                longest=tuple(obj["longest"]),
+                max_depth_ratio=float(obj["max_depth_ratio"]),
+                is_flat=bool(obj.get("is_flat", False)),
+                is_elongated=bool(obj.get("is_elongated", False)),
+                fixed_size=bool(obj.get("fixed_size", True)),
+            )
+            out[spec.category] = spec
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed record ({exc})") from exc
     return out
 
 
@@ -470,44 +508,3 @@ def cloud_from_depth(depth: np.ndarray, camera: CameraModel) -> SceneCloud:
     px = np.column_stack([cols + 0.5, rows + 0.5])
     pts = backproject(camera, px, depth[rows, cols])
     return SceneCloud(pts, np.column_stack([rows, cols]).astype(np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Bridges to evaluation
-# ---------------------------------------------------------------------------
-
-
-def detections_from_dataset(ds: DatasetFile):
-    """Annotations with 3D geometry and both scores become detections."""
-    dets = []
-    for a in ds.annotations:
-        if not a.has_3d:
-            continue
-        if a.s2d is None or a.s3d is None:
-            raise ValueError(f"annotation {a.id!r}: predictions need s2d and s3d")
-        dets.append(
-            Detection(
-                image_id=a.image_id,
-                category=a.category,
-                box3d=a.box3d(),
-                box2d=a.box2d_obj(),
-                s2d=a.s2d,
-                s3d=a.s3d,
-            )
-        )
-    return dets
-
-
-def ground_truths_from_dataset(ds: DatasetFile):
-    gts = []
-    for a in ds.annotations:
-        gts.append(
-            GroundTruth(
-                image_id=a.image_id,
-                category=a.category,
-                box2d=a.box2d_obj(),
-                box3d=a.box3d() if (a.has_3d and not a.ignore3d) else None,
-                ignore3d=a.ignore3d,
-            )
-        )
-    return gts

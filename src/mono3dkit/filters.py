@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraModel, project
+from .camera import CameraModel, project, projected_box2d
 from .geometry import Box2D, Box3D, iou2d
 
 __all__ = [
@@ -131,8 +131,7 @@ def projection_size_ratio(box: Box3D, box2d: Box2D, camera: CameraModel) -> floa
     sqrt(area of the projected corners' bounding rectangle / area of box2d),
     so 1.0 means the 3D box projects to the same linear size as annotated.
     """
-    px = project(camera, box.corners())
-    proj_area = float((px[:, 0].max() - px[:, 0].min()) * (px[:, 1].max() - px[:, 1].min()))
+    proj_area = projected_box2d(box, camera).area
     area = box2d.area
     if area <= 0:
         raise ValueError("degenerate 2D box")
@@ -326,6 +325,4 @@ def small_upgrade_allowed(
 
 def projected_iou(box: Box3D, box2d: Box2D, camera: CameraModel) -> float:
     """2D IoU between the projected 3D box's bounding rectangle and box2d."""
-    px = project(camera, box.corners())
-    proj = Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
-    return iou2d(proj, box2d)
+    return iou2d(projected_box2d(box, camera), box2d)

@@ -24,7 +24,6 @@ __all__ = [
     "Box3D",
     "CORNER_SIGNS",
     "box_corners",
-    "box_volume",
     "quat_to_matrix",
     "matrix_to_quat",
     "quat_multiply",
@@ -164,10 +163,6 @@ def box_corners(center, dims, rotation) -> np.ndarray:
     """Corners of an oriented box given center, dims, rotation matrix."""
     local = CORNER_SIGNS * np.asarray(dims, dtype=np.float64)
     return local @ np.asarray(rotation, dtype=np.float64).T + np.asarray(center, dtype=np.float64)
-
-
-def box_volume(dims) -> float:
-    return float(np.prod(np.asarray(dims, dtype=np.float64)))
 
 
 # ---------------------------------------------------------------------------

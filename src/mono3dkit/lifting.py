@@ -21,7 +21,7 @@ from scipy.ndimage import binary_erosion
 from scipy.optimize import minimize
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import CameraModel, project
+from .camera import CameraModel, projected_box2d
 from .geometry import Box2D, Box3D, giou2d, iou2d, matrix_to_quat
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "sample_anchors",
     "inclusion_loss",
     "tightness_loss",
-    "projected_box2d",
     "projection_loss",
     "optimize_translation",
     "scale_depth_to_box2d",
@@ -217,6 +216,12 @@ def _horizontal_basis(height_axis: np.ndarray):
     return u, v
 
 
+def _yaw_rotation(yaw: float, u: np.ndarray, v: np.ndarray, height_axis: np.ndarray) -> np.ndarray:
+    """Rotation whose axes are (yaw direction in the u-v plane, height axis, their cross)."""
+    a1 = math.cos(yaw) * u + math.sin(yaw) * v
+    return np.column_stack([a1, height_axis, np.cross(a1, height_axis)])
+
+
 def _min_area_rectangle(fp: np.ndarray):
     """Rotating calipers: minimum-area rectangle over the convex hull.
 
@@ -337,8 +342,7 @@ def fit_oriented_box(
         inliers = np.ones(fp.shape[0], dtype=bool)
     theta, center2d, extents = _min_area_rectangle(fp[inliers])
 
-    a1 = math.cos(theta) * u + math.sin(theta) * v
-    rot = np.column_stack([a1, haxis, np.cross(a1, haxis)])
+    rot = _yaw_rotation(theta, u, v, haxis)
     center = center2d[0] * u + center2d[1] * v + 0.5 * (h_lo + h_hi) * haxis
     dims = np.array([max(extents[0], 1e-6), height, max(extents[1], 1e-6)])
     return Box3D(center=center, dims=dims, quaternion=matrix_to_quat(rot))
@@ -416,12 +420,6 @@ def tightness_loss(box: Box3D, anchor_points, buffer: float = 0.1) -> float:
             nearest = float(np.min(np.abs(local[:, axis] - sign * half[axis])))
             total += max(0.0, nearest - buffer)
     return total / 6.0
-
-
-def projected_box2d(box: Box3D, camera: CameraModel) -> Box2D:
-    """Axis-aligned pixel box around the projected 3D corners."""
-    px = project(camera, box.corners())
-    return Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
 
 
 def projection_loss(box: Box3D, box2d: Box2D, camera: CameraModel) -> float:
@@ -608,9 +606,7 @@ def correct_rotation(
     u, v = _horizontal_basis(haxis)
 
     def box_at(yaw: float) -> Box3D:
-        a1 = math.cos(yaw) * u + math.sin(yaw) * v
-        rot = np.column_stack([a1, haxis, np.cross(a1, haxis)])
-        return Box3D(box.center, box.dims, matrix_to_quat(rot))
+        return Box3D(box.center, box.dims, matrix_to_quat(_yaw_rotation(yaw, u, v, haxis)))
 
     best_yaw = None
     best_val = math.inf

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .camera import CameraModel, project
+from .camera import CameraModel, projected_box2d
 from .dataio import AnnotationRecord, ImageRecord
-from .geometry import Box2D, Box3D, iou2d, iou3d, yaw_to_matrix, matrix_to_quat
+from .geometry import Box3D, iou2d, iou3d, yaw_to_matrix, matrix_to_quat
 
 __all__ = ["SynthSpec", "SynthScene", "synth_scene", "ray_box_depths"]
 
@@ -109,11 +109,6 @@ def ray_box_depths(dx: np.ndarray, dy: np.ndarray, box: Box3D) -> np.ndarray:
     return np.where(hit, t, np.inf)
 
 
-def _projected_aabb(box: Box3D, camera: CameraModel) -> Box2D:
-    px = project(camera, box.corners())
-    return Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
-
-
 def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) -> Box3D:
     dims = rng.uniform(spec.dims_range[0], spec.dims_range[1], size=3)
     if spec.height_range is not None:
@@ -133,21 +128,19 @@ def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) 
 
 
 def _acceptable(box: Box3D, placed, spec: SynthSpec, camera: CameraModel) -> bool:
-    corners = box.corners()
-    if corners[:, 2].min() <= 0.5:
+    if box.corners()[:, 2].min() <= 0.5:
         return False
-    px = project(camera, corners)
+    aabb = projected_box2d(box, camera)
     m = spec.margin_px
-    if px[:, 0].min() < m or px[:, 0].max() > camera.width - m:
+    if aabb.x1 < m or aabb.x2 > camera.width - m:
         return False
-    if px[:, 1].min() < m or px[:, 1].max() > camera.height - m:
+    if aabb.y1 < m or aabb.y2 > camera.height - m:
         return False
-    aabb = _projected_aabb(box, camera)
     for other in placed:
         if iou3d(box, other) > 0.0:
             return False
         if spec.max_box2d_iou is not None:
-            if iou2d(aabb, _projected_aabb(other, camera)) > spec.max_box2d_iou:
+            if iou2d(aabb, projected_box2d(other, camera)) > spec.max_box2d_iou:
                 return False
     return True
 
@@ -221,7 +214,7 @@ def synth_scene(
     )
     annotations = []
     for k, box in enumerate(boxes):
-        aabb = _projected_aabb(box, camera)
+        aabb = projected_box2d(box, camera)
         annotations.append(
             AnnotationRecord(
                 id=f"{image_id}-obj{k:03d}",

@@ -406,3 +406,175 @@ class TestLiftCommand:
         rc = main(["lift", ds_path, "--depth-dir", depth_dir, "--masks-dir", masks_dir])
         assert rc == 2
         assert "no such depth file" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Bad input files and flag values: exit 2, a message naming the file, record
+# or flag, nothing on stdout, no temp file left behind
+# ---------------------------------------------------------------------------
+
+
+def small_lift_inputs(tmp_path, depth_bytes=None, inst_shape=(48, 64)):
+    """A one-object dataset with its rasters; returns the lift argv."""
+    image = ImageRecord(
+        id="im0", width=64, height=48, fx=50.0, fy=50.0, cx=32.0, cy=24.0, depth_path="im0.wd3d"
+    )
+    ann = AnnotationRecord(
+        id="a0", image_id="im0", category="block", box2d=(10.0, 10.0, 30.0, 30.0), ignore3d=True, instance=1
+    )
+    ds = tmp_path / "dataset.json"
+    write_dataset(DatasetFile(images=[image], annotations=[ann]), str(ds))
+    depth_dir = tmp_path / "depth"
+    masks_dir = tmp_path / "masks"
+    depth_dir.mkdir()
+    masks_dir.mkdir()
+    depth = np.full((48, 64), 2.0)
+    write_depth(str(depth_dir / "im0.wd3d"), depth)
+    if depth_bytes is not None:
+        (depth_dir / "im0.wd3d").write_bytes(depth_bytes)
+    inst = np.zeros(inst_shape, dtype=np.uint16)
+    inst[10:30, 10:30] = 1
+    write_instance_map(str(masks_dir / "im0.wd3i"), inst)
+    return [
+        "lift", str(ds), "--depth-dir", str(depth_dir), "--masks-dir", str(masks_dir),
+        "--output", str(tmp_path / "cand.json"),
+    ]
+
+
+def write_text(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def list_dataset(tmp_path):
+    return write_text(tmp_path, "list.json", "[]")
+
+
+def case_eval_list_gt(tmp_path):
+    _, pred = eval_pair(tmp_path)
+    bad = list_dataset(tmp_path)
+    return ["eval", bad, pred, "--output", str(tmp_path / "r.json")], bad
+
+
+def case_lift_list_dataset(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    bad = list_dataset(tmp_path)
+    return ["lift", bad, *argv[2:]], bad
+
+
+def case_sample_list_dataset(tmp_path):
+    bad = list_dataset(tmp_path)
+    return ["sample", bad, "--output", str(tmp_path / "split.json")], bad
+
+
+def case_sample_not_json(tmp_path):
+    bad = write_text(tmp_path, "garbage.json", "{not json")
+    return ["sample", bad], bad
+
+
+def case_size_spec_wrong_format(tmp_path):
+    spec = write_text(tmp_path, "spec.json", '{"format": "wd3d-dataset", "version": 1}')
+    return [*small_lift_inputs(tmp_path), "--size-spec", spec], spec
+
+
+def case_size_spec_missing_field(tmp_path):
+    doc = {"format": "wd3d-sizespec", "version": 1, "categories": [{"category": "block"}]}
+    spec = write_text(tmp_path, "spec.json", json.dumps(doc))
+    return [*small_lift_inputs(tmp_path), "--size-spec", spec], spec
+
+
+def case_truncated_depth_payload(tmp_path):
+    header = b"WD3D" + (1).to_bytes(2, "little") + (64).to_bytes(4, "little") + (48).to_bytes(4, "little")
+    argv = small_lift_inputs(tmp_path, depth_bytes=header + bytes(6))
+    return argv, str(tmp_path / "depth" / "im0.wd3d")
+
+
+def case_truncated_depth_header(tmp_path):
+    argv = small_lift_inputs(tmp_path, depth_bytes=b"WD3D\x01\x00")
+    return argv, str(tmp_path / "depth" / "im0.wd3d")
+
+
+def case_instance_map_shape(tmp_path):
+    argv = small_lift_inputs(tmp_path, inst_shape=(24, 32))
+    return argv, str(tmp_path / "masks" / "im0.wd3i")
+
+
+def case_nan_gt_center(tmp_path):
+    gt, pred = eval_pair(tmp_path)
+    doc = json.loads(open(gt).read())
+    doc["annotations"][0]["center"][0] = float("nan")
+    with open(gt, "w") as f:
+        json.dump(doc, f)
+    return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0'"
+
+
+def case_symmetric_categories_not_text(tmp_path):
+    gt, pred = eval_pair(tmp_path)
+    sym = tmp_path / "sym.txt"
+    sym.write_bytes(b"mug\n\xff\xfe\n")
+    return ["eval", gt, pred, "--symmetric-categories", str(sym), "--output", str(tmp_path / "r.json")], str(sym)
+
+
+def case_flag(flag, value):
+    def build(tmp_path):
+        if flag == "--grid-size":
+            argv = small_lift_inputs(tmp_path)
+        elif flag == "--max-dets":
+            gt, pred = eval_pair(tmp_path)
+            argv = ["eval", gt, pred, "--output", str(tmp_path / "r.json")]
+        else:
+            argv = ["synth", "--out-dir", str(tmp_path / "synth")]
+        return [*argv, flag, value], flag
+
+    build.__name__ = f"case_flag_{flag.strip('-').replace('-', '_')}_{value}"
+    return build
+
+
+def case_synth_placement_fails(tmp_path):
+    # No 3-box layout fits inside the margins of a 64 x 48 image.
+    camera = ["--width", "64", "--height", "48", "--fx", "50", "--fy", "50", "--cx", "32", "--cy", "24"]
+    return ["synth", "--boxes", "3", *camera, "--out-dir", str(tmp_path / "synth")], "scene seed 0"
+
+
+def case_output_is_directory(tmp_path):
+    gt, pred = eval_pair(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    return ["eval", gt, pred, "--output", str(out)], str(out)
+
+
+BAD_INPUT_CASES = [
+    case_eval_list_gt,
+    case_lift_list_dataset,
+    case_sample_list_dataset,
+    case_sample_not_json,
+    case_size_spec_wrong_format,
+    case_size_spec_missing_field,
+    case_truncated_depth_payload,
+    case_truncated_depth_header,
+    case_instance_map_shape,
+    case_nan_gt_center,
+    case_symmetric_categories_not_text,
+    case_flag("--grid-size", "4"),
+    case_flag("--grid-size", "0"),
+    case_flag("--max-dets", "0"),
+    case_flag("--max-dets", "-1"),
+    case_flag("--boxes", "0"),
+    case_flag("--fx", "0"),
+    case_synth_placement_fails,
+    case_output_is_directory,
+]
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_CASES, ids=lambda c: c.__name__[len("case_"):])
+def test_bad_input_exits_2_and_names_it(case, tmp_path, capsys):
+    argv, needle = case(tmp_path)
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.startswith("error: ")
+    assert needle in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.rglob("*.tmp-*")) == []

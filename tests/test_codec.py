@@ -10,7 +10,6 @@ from mono3dkit import (
     Box3D,
     BoxEncoding12,
     CameraModel,
-    ConfidenceTarget,
     confidence_target,
     decode_box,
     depth_quality,
@@ -152,15 +151,14 @@ class TestConfidence:
         assert confidence_target(1.0, 0.0) == pytest.approx(0.7)
         assert confidence_target(0.5, 0.2) == pytest.approx(0.7 * 0.5 + 0.3 * 0.2)
 
-    def test_target_dataclass_qstar(self):
-        t = ConfidenceTarget(q_depth=0.8, iou3d=0.4)
-        assert t.qstar == pytest.approx(0.7 * 0.8 + 0.3 * 0.4)
+    def test_target_keyword_arguments(self):
+        assert confidence_target(q_depth=0.8, iou=0.4) == pytest.approx(0.7 * 0.8 + 0.3 * 0.4)
 
     def test_target_range_validated(self):
-        with pytest.raises(ValueError):
-            ConfidenceTarget(q_depth=1.2, iou3d=0.5)
-        with pytest.raises(ValueError):
-            ConfidenceTarget(q_depth=0.5, iou3d=-0.1)
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            confidence_target(1.2, 0.5)
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            confidence_target(0.5, -0.1)
 
     def test_fuse_score(self):
         assert fuse_score(0.9, 0.6) == pytest.approx(0.9 + 0.3)

@@ -1,5 +1,6 @@
 """Dataset files, canonical JSON, binary rasters, and cloud backprojection."""
 
+import math
 import os
 import struct
 
@@ -26,14 +27,13 @@ from mono3dkit import (
     write_size_specs,
 )
 from mono3dkit.camera import backproject
+from mono3dkit.cli import detections_from_dataset, ground_truths_from_dataset
 from mono3dkit.dataio import (
     DATASET_FORMAT,
     QUALITY_RATINGS,
     SIZESPEC_FORMAT,
     atomic_write_bytes,
     atomic_write_text,
-    detections_from_dataset,
-    ground_truths_from_dataset,
     validate_dataset,
 )
 
@@ -124,6 +124,13 @@ class TestAtomicWrite:
         path.write_text("old")
         atomic_write_text(str(path), "new")
         assert path.read_text() == "new"
+
+    def test_failed_rename_removes_temp(self, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(str(target), b"data")
+        assert os.listdir(tmp_path) == ["dir"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +364,15 @@ class TestDatasetRoundtrip:
         with pytest.raises(ValueError, match="malformed record"):
             read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text", ["[]", '"wd3d-dataset"', "{not json", '{"format": "wd3d-dataset", "version": "x"}']
+    )
+    def test_read_errors_name_the_path(self, tmp_path, text):
+        path = str(tmp_path / "ds.json")
+        atomic_write_text(path, text)
+        with pytest.raises(ValueError, match="ds.json: "):
+            read_dataset(path)
+
     def test_read_validates_content(self, tmp_path):
         path = str(tmp_path / "ds.json")
         doc = {
@@ -437,6 +453,12 @@ class TestDepthRaster:
         with pytest.raises(ValueError, match="payload"):
             read_depth(path)
 
+    def test_rejects_truncated_header(self, tmp_path):
+        path = str(tmp_path / "d.wd3d")
+        atomic_write_bytes(path, b"WD3D\x01\x00")
+        with pytest.raises(ValueError, match="d.wd3d: header is 6 bytes"):
+            read_depth(path)
+
     def test_rejects_non_finite_on_read(self, tmp_path):
         path = str(tmp_path / "d.wd3d")
         payload = np.array([[np.inf]], dtype="<f4").tobytes()
@@ -504,6 +526,19 @@ class TestSizeSpecFile:
         with pytest.raises(ValueError, match="not a"):
             read_size_specs(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"category": "car"},
+            {"category": "car", "shortest": [1.0], "middle": [1, 2], "longest": [1, 2], "max_depth_ratio": 1},
+        ],
+    )
+    def test_malformed_record_names_the_path(self, tmp_path, record):
+        path = str(tmp_path / "specs.json")
+        atomic_write_text(path, canonical_json({"format": SIZESPEC_FORMAT, "version": 1, "categories": [record]}))
+        with pytest.raises(ValueError, match="specs.json: malformed record"):
+            read_size_specs(path)
+
 
 # ---------------------------------------------------------------------------
 # Depth backprojection
@@ -555,7 +590,7 @@ class TestCloudFromDepth:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation bridges
+# Evaluation bridges (they live in the CLI, their only caller)
 # ---------------------------------------------------------------------------
 
 
@@ -601,3 +636,10 @@ class TestEvaluationBridges:
         assert len(withbox) == 1
         assert not withbox[0].ignore3d
         assert all(g.box3d is None for g in gts if g.ignore3d)
+
+    @pytest.mark.parametrize("convert", [detections_from_dataset, ground_truths_from_dataset])
+    def test_bad_geometry_names_the_annotation(self, convert):
+        bad = full_annotation("a0", center=(math.nan, 0.0, 3.0))
+        ds = DatasetFile(images=[make_image("im0")], annotations=[bad])
+        with pytest.raises(ValueError, match="annotation 'a0': box center must be finite"):
+            convert(ds)

@@ -1,0 +1,56 @@
+"""The package's import graph points one way: each module imports only
+modules of a lower rank."""
+
+import ast
+import pathlib
+
+import pytest
+
+import mono3dkit
+
+PACKAGE = pathlib.Path(mono3dkit.__file__).parent
+
+RANK = {
+    "geometry": 0,
+    "harmonics": 0,
+    "camera": 1,
+    "codec": 2,
+    "filters": 2,
+    "lifting": 2,
+    "losses": 2,
+    "evaluation": 3,
+    "dataio": 3,
+    "sampler": 4,
+    "synth": 4,
+    "cli": 5,
+}
+
+
+def package_imports(module: str) -> set:
+    """Sibling modules named by the relative imports of ``module``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level == 0:
+            continue
+        if node.module is None:  # from . import x
+            out.update(alias.name for alias in node.names)
+        else:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_every_module_has_a_rank():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(RANK)
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_imports_point_to_lower_ranks(module):
+    upward = {dep: RANK.get(dep) for dep in package_imports(module) if RANK.get(dep, 99) >= RANK[module]}
+    assert not upward, f"{module} (rank {RANK[module]}) imports {upward}"
+
+
+def test_relative_import_forms_are_seen():
+    # cli uses "from . import dataio" as well as "from .x import y".
+    assert {"dataio", "evaluation", "camera"} <= package_imports("cli")
