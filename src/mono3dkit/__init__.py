@@ -65,7 +65,6 @@ from .geometry import (
 from .harmonics import real_spherical_harmonics, sph_harm_count
 from .lifting import (
     LiftCandidate,
-    OptimizerConfig,
     TranslationResult,
     adaptive_select,
     anchor_weights,

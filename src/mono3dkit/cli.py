@@ -3,8 +3,7 @@
 Subcommands: eval (benchmark a prediction file), lift (2D-to-3D lifting over
 a dataset), synth (generate synthetic scenes), sample (balanced split
 selection), iou (exact vs Monte-Carlo box overlap). Every subcommand is
-deterministic given its inputs, flags, and seed; --threads is accepted for
-interface stability but never changes output bytes (work runs serially).
+deterministic given its inputs, flags, and seed.
 
 Exit codes: 0 success, 1 internal error, 2 user or input error. Output
 files are written atomically and carry the effective configuration under a
@@ -25,9 +24,9 @@ from .camera import CameraModel
 from .evaluation import Detection, GroundTruth, evaluate
 from .filters import geometric_filter, occlusion_ratio, ratio_filters, size_filter
 from .geometry import Box3D, iou3d, iou3d_monte_carlo
-from .lifting import OptimizerConfig, lift_annotation
+from .lifting import check_grid_size, lift_annotation
 from .sampler import SamplerTargets, sample_eval_split
-from .synth import SynthScene, SynthSpec, synth_scene
+from .synth import SynthSpec, synth_scene
 
 __all__ = ["main"]
 
@@ -43,23 +42,6 @@ def _input_errors(prefix: str = ""):
         yield
     except ValueError as exc:
         raise InputError(f"{prefix}{exc}") from exc
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MONO3DKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _add_threads(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=_default_threads(),
-        help="accepted for interface stability; processing is serial and "
-        "output bytes never depend on it",
-    )
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -190,10 +172,10 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lift_one(ann, image, cloud, depth_map, instances, size_specs, config, args):
+def _lift_one(ann, image, cloud, depth_map, instances, size_specs, args):
     mask = instances == ann.instance
     camera = image.camera
-    candidate = lift_annotation(cloud, mask, ann.box2d_obj(), camera, config=config, seed=args.seed)
+    candidate = lift_annotation(cloud, mask, ann.box2d_obj(), camera, grid_size=args.grid_size, seed=args.seed)
     record = {
         "annotation_id": ann.id,
         "image_id": ann.image_id,
@@ -238,7 +220,7 @@ def _read_rasters(image, depth_file: str, inst_file: str):
 
 def _cmd_lift(args) -> int:
     with _input_errors("--grid-size: "):
-        config = OptimizerConfig(grid_size=args.grid_size)
+        check_grid_size(args.grid_size)
     ds = _read_dataset(args.dataset)
     size_specs = None
     if args.size_spec:
@@ -263,7 +245,7 @@ def _cmd_lift(args) -> int:
         depth, instances, cloud = _read_rasters(image, depth_file, inst_file)
         for ann in sorted(anns, key=lambda a: a.id):
             try:
-                records.append(_lift_one(ann, images[ann.image_id], cloud, depth, instances, size_specs, config, args))
+                records.append(_lift_one(ann, images[ann.image_id], cloud, depth, instances, size_specs, args))
             except ValueError as exc:
                 records.append(
                     {
@@ -287,34 +269,52 @@ def _cmd_lift(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _scene_files(scene: SynthScene, out_dir: str):
-    depth_name = f"{scene.image.id}.wd3d"
-    dataio.write_depth(os.path.join(out_dir, depth_name), scene.depth)
-    dataio.write_instance_map(os.path.join(out_dir, f"{scene.image.id}.wd3i"), scene.instance_map)
-    scene.image.depth_path = depth_name
+def _write_synth(args, spec: SynthSpec, camera: CameraModel, written: list):
+    """Render and write every scene, recording each file once it exists."""
+
+    def write(name: str, save):
+        path = os.path.join(args.out_dir, name)
+        save(path)
+        written.append(path)
+
+    ds = dataio.DatasetFile()
+    for k in range(args.scenes):
+        with _input_errors(f"scene seed {args.seed + k}: "):
+            scene = synth_scene(spec, camera, seed=args.seed + k, image_id=f"synth-{args.seed + k:06d}")
+        scene.image.depth_path = f"{scene.image.id}.wd3d"
+        write(scene.image.depth_path, lambda path: dataio.write_depth(path, scene.depth))
+        write(f"{scene.image.id}.wd3i", lambda path: dataio.write_instance_map(path, scene.instance_map))
+        ds.images.append(scene.image)
+        ds.annotations.extend(scene.annotations)
+    write("dataset.json", lambda path: dataio.write_dataset(ds, path))
+    meta = {"config": _config_echo(args), "images": [im.id for im in ds.images]}
+    write("synth-config.json", lambda path: dataio.atomic_write_text(path, dataio.canonical_json(meta)))
 
 
 def _cmd_synth(args) -> int:
     with _input_errors("--fx/--fy/--width/--height: "):
         camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
-    with _input_errors("--boxes: "):
+    with _input_errors("--boxes/--noise-sigma: "):
         spec = SynthSpec(
             n_boxes=args.boxes,
             noise_sigma=args.noise_sigma,
             floor_y=None if args.no_floor else args.floor_y,
             categories=tuple(args.categories.split(",")),
         )
+    created = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
-    ds = dataio.DatasetFile()
-    for k in range(args.scenes):
-        with _input_errors(f"scene seed {args.seed + k}: "):
-            scene = synth_scene(spec, camera, seed=args.seed + k, image_id=f"synth-{args.seed + k:06d}")
-        _scene_files(scene, args.out_dir)
-        ds.images.append(scene.image)
-        ds.annotations.extend(scene.annotations)
-    dataio.write_dataset(ds, os.path.join(args.out_dir, "dataset.json"))
-    meta = {"config": _config_echo(args), "images": [im.id for im in ds.images]}
-    dataio.atomic_write_text(os.path.join(args.out_dir, "synth-config.json"), dataio.canonical_json(meta))
+    written: list = []
+    try:
+        _write_synth(args, spec, camera, written)
+    except BaseException:
+        # A failed run leaves the output directory as it found it, less the files it wrote.
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out_dir)
+        raise
     sys.stdout.write(f"wrote {args.scenes} scene(s) to {args.out_dir}\n")
     return 0
 
@@ -388,7 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetric-categories", default=None, help="file with one category per line")
     p.add_argument("--output", default="eval-result.json")
     p.add_argument("--table", default=None, help="also write the text table here")
-    _add_threads(p)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("lift", help="lift 2D annotations to 3D boxes")
@@ -400,7 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset-class", choices=("standard", "fine_grained"), default="standard")
     p.add_argument("--grid-size", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("synth", help="generate synthetic scenes")
@@ -418,7 +416,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor-y", type=float, default=1.2)
     p.add_argument("--no-floor", action="store_true")
     p.add_argument("--categories", default="block")
-    _add_threads(p)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("sample", help="select a balanced evaluation split")
@@ -426,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=0, help="phase-2 target image count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default=None)
-    _add_threads(p)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("iou", help="exact and Monte-Carlo IoU of two boxes")
@@ -434,16 +430,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box-b", nargs=10, required=True, metavar="V")
     p.add_argument("--mc-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    _add_threads(p)
     p.set_defaults(func=_cmd_iou)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads < 1:
-        sys.stderr.write("error: --threads must be at least 1\n")
-        return 2
     try:
         return args.func(args)
     except InputError as exc:

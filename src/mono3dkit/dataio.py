@@ -209,6 +209,10 @@ def _check(cond: bool, what: str):
         raise ValueError(what)
 
 
+def _finite(values) -> bool:
+    return all(map(math.isfinite, values))
+
+
 def validate_dataset(ds: DatasetFile):
     """Schema invariants; error messages name the offending record."""
     seen = set()
@@ -216,6 +220,7 @@ def validate_dataset(ds: DatasetFile):
         _check(im.id not in seen, f"image {im.id!r}: duplicate id")
         seen.add(im.id)
         _check(im.width > 0 and im.height > 0, f"image {im.id!r}: non-positive size")
+        _check(_finite((im.fx, im.fy, im.cx, im.cy)), f"image {im.id!r}: non-finite intrinsics")
         _check(im.fx > 0 and im.fy > 0, f"image {im.id!r}: non-positive focal length")
     ann_seen = set()
     for a in ds.annotations:
@@ -223,6 +228,8 @@ def validate_dataset(ds: DatasetFile):
         _check(a.id not in ann_seen, f"{name}: duplicate id")
         ann_seen.add(a.id)
         _check(a.image_id in seen, f"{name}: references missing image {a.image_id!r}")
+        _check(len(a.box2d) == 4, f"{name}: box2d has {len(a.box2d)} values, expected 4")
+        _check(_finite(a.box2d), f"{name}: non-finite box2d")
         x0, y0, x1, y1 = a.box2d
         _check(x1 > x0 and y1 > y0, f"{name}: degenerate box2d")
         three_d = (a.center, a.dims, a.quaternion)
@@ -232,8 +239,10 @@ def validate_dataset(ds: DatasetFile):
         )
         if a.quality is not None:
             _check(a.quality in QUALITY_RATINGS, f"{name}: unknown quality {a.quality!r}")
+        _check(_finite(v for v in (a.s2d, a.s3d) if v is not None), f"{name}: non-finite s2d or s3d")
         if a.has_3d:
             _check(len(a.center) == 3 and len(a.dims) == 3 and len(a.quaternion) == 4, f"{name}: bad 3D field shapes")
+            _check(_finite((*a.center, *a.dims, *a.quaternion)), f"{name}: non-finite center, dims or quaternion")
             _check(all(d > 0 for d in a.dims), f"{name}: non-positive dims")
             norm = math.sqrt(sum(q * q for q in a.quaternion))
             _check(abs(norm - 1.0) <= 1e-6, f"{name}: quaternion norm {norm:.8f} is not 1")

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import binary_erosion
 from scipy.optimize import minimize
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .camera import CameraModel, projected_box2d
@@ -26,7 +28,6 @@ from .geometry import Box2D, Box3D, giou2d, iou2d, matrix_to_quat
 
 __all__ = [
     "DEFAULT_GRAVITY",
-    "OptimizerConfig",
     "LiftCandidate",
     "TranslationResult",
     "extract_object_points",
@@ -38,6 +39,7 @@ __all__ = [
     "inclusion_loss",
     "tightness_loss",
     "projection_loss",
+    "check_grid_size",
     "optimize_translation",
     "scale_depth_to_box2d",
     "adaptive_select",
@@ -51,30 +53,28 @@ DEFAULT_GRAVITY = np.array([0.0, -1.0, 0.0])
 
 _BEHIND_CAMERA_PENALTY = 1e6
 
+# Cleaning and box fitting.
+_OUTLIER_SIGMA = 2.0  # drop points beyond mean + sigma * std of the kNN statistic
+_EPS_FACTOR = 3.0  # cluster radius in median nearest-neighbor distances
+_RANSAC_ITERATIONS = 200
+_INLIER_THRESHOLD = 0.05  # meters outside a footprint rectangle hypothesis
+_HEIGHT_PERCENTILES = (1.0, 99.0)
 
-@dataclass
-class OptimizerConfig:
-    """Knobs of the translation refinement and its anchor losses."""
+# Translation search: anchors, objective weights and the L-BFGS-B polish.
+_ANCHOR_COUNT = 256
+_MAHALANOBIS_ALPHA = 0.5
+_INCLUSION_BUFFER = 0.02
+_TIGHTNESS_BUFFER = 0.1
+_LAMBDA_INCLUSION = 1.0
+_LAMBDA_TIGHTNESS = 0.5
+_LAMBDA_PROJECTION = 0.5
+_MAX_ITERATIONS = 100
+_F_TOL = 1e-6
+_FD_STEP = 1e-4
 
-    grid_size: int = 5
-    window_scale: float = 1.0
-    lambda_inclusion: float = 1.0
-    lambda_tightness: float = 0.5
-    lambda_projection: float = 0.5
-    inclusion_buffer: float = 0.02
-    tightness_buffer: float = 0.1
-    max_iterations: int = 100
-    f_tol: float = 1e-6
-    fd_step: float = 1e-4
-    anchor_count: int = 256
-    mahalanobis_alpha: float = 0.5
-    projected_iou_threshold: float = 0.4
-
-    def __post_init__(self):
-        if self.grid_size < 1 or self.grid_size % 2 == 0:
-            raise ValueError("grid_size must be odd so the unshifted center is a grid point")
-        if self.window_scale <= 0:
-            raise ValueError("window_scale must be positive")
+# Fallback selection and rotation correction.
+_PROJECTED_IOU_THRESHOLD = 0.4
+_MAX_TILT_DEG = 15.0
 
 
 @dataclass
@@ -131,10 +131,10 @@ def extract_object_points(cloud, mask) -> np.ndarray:
     return pts
 
 
-def remove_outliers(points, k: int = 16, sigma: float = 2.0) -> np.ndarray:
+def remove_outliers(points, k: int = 16) -> np.ndarray:
     """Statistical outlier removal on mean k-nearest-neighbor distance.
 
-    Points whose statistic exceeds mean + ``sigma`` * std are dropped.
+    Points whose statistic exceeds mean + 2 std are dropped.
     Fewer than k + 1 points pass through unchanged.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -143,17 +143,18 @@ def remove_outliers(points, k: int = 16, sigma: float = 2.0) -> np.ndarray:
     tree = cKDTree(pts)
     dists, _ = tree.query(pts, k=k + 1)
     stat = dists[:, 1:].mean(axis=1)
-    cutoff = stat.mean() + sigma * stat.std()
+    cutoff = stat.mean() + _OUTLIER_SIGMA * stat.std()
     return pts[stat <= cutoff]
 
 
-def largest_cluster(points, min_points: int = 8, eps_factor: float = 3.0) -> np.ndarray:
+def largest_cluster(points, min_points: int = 8) -> np.ndarray:
     """Largest density cluster; radius is 3x the median NN distance.
 
     Density clustering in the DBSCAN sense: core points have at least
-    ``min_points`` neighbors (self included) within eps; clusters grow
-    through core points; border points join the first cluster that reaches
-    them. Ties in size break toward the smaller mean depth (z).
+    ``min_points`` neighbors (self included) within eps; clusters are the
+    connected components of the core points, numbered by their lowest point
+    index; a border point joins the lowest-numbered cluster among its core
+    neighbors. Ties in size break toward the smaller mean depth (z).
 
     Raises:
         ValueError: if every point is noise.
@@ -165,39 +166,27 @@ def largest_cluster(points, min_points: int = 8, eps_factor: float = 3.0) -> np.
     tree = cKDTree(pts)
     if n > 1:
         nn, _ = tree.query(pts, k=2)
-        eps = eps_factor * float(np.median(nn[:, 1]))
+        eps = _EPS_FACTOR * float(np.median(nn[:, 1]))
     else:
         eps = 0.0
     if eps <= 0:
         raise ValueError("degenerate point spacing; all points classified as noise")
-    neighbors = tree.query_ball_point(pts, eps)
-    core = np.fromiter((len(nb) >= min_points for nb in neighbors), dtype=bool, count=n)
-    labels = np.full(n, -1, dtype=np.int64)
-    n_clusters = 0
-    for i in range(n):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = n_clusters
-        queue = [i]
-        while queue:
-            j = queue.pop()
-            for nb in neighbors[j]:
-                if labels[nb] == -1:
-                    labels[nb] = n_clusters
-                    if core[nb]:
-                        queue.append(nb)
-        n_clusters += 1
-    if n_clusters == 0:
+    core = tree.query_ball_point(pts, eps, return_length=True) >= min_points
+    if not core.any():
         raise ValueError("all points classified as noise")
-    best_label = -1
-    best_key = None
-    for c in range(n_clusters):
-        members = labels == c
-        key = (int(np.count_nonzero(members)), -float(pts[members, 2].mean()))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_label = c
-    return pts[labels == best_label]
+    i, j = tree.query_pairs(eps, output_type="ndarray").T
+    rank = np.cumsum(core) - 1  # index of each core point among the core points
+    linked = core[i] & core[j]
+    graph = csr_matrix((np.ones(np.count_nonzero(linked)), (rank[i[linked]], rank[j[linked]])), shape=(rank[-1] + 1,) * 2)
+    n_clusters, core_labels = connected_components(graph, directed=False)
+    labels = np.full(n, n_clusters, dtype=np.int64)  # n_clusters marks noise
+    labels[core] = core_labels
+    for a, b in ((i, j), (j, i)):
+        border = core[a] & ~core[b]
+        np.minimum.at(labels, b[border], labels[a[border]])
+    sizes = np.bincount(labels)[:n_clusters]
+    best = min(np.flatnonzero(sizes == sizes.max()), key=lambda c: float(pts[labels == c, 2].mean()))
+    return pts[labels == best]
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +244,18 @@ def _min_area_rectangle(fp: np.ndarray):
     return theta, center, extents
 
 
-def _ransac_rectangle_inliers(
-    fp: np.ndarray,
-    rng: np.random.Generator,
-    iterations: int = 200,
-    threshold: float = 0.05,
-) -> np.ndarray:
+def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inlier mask of the best rectangle hypothesis over the footprint.
 
     Each iteration takes an orientation from two sampled points, builds the
     [0.5, 99.5]-percentile extent rectangle in that frame, and counts points
-    within ``threshold`` of the rectangle region. Best hypothesis by count,
+    within ``_INLIER_THRESHOLD`` of the rectangle region. Best hypothesis by count,
     ties by smaller area. Degenerate samples are skipped; if nothing usable
     comes up, all points are inliers.
     """
     n = fp.shape[0]
     best = None
-    for _ in range(iterations):
+    for _ in range(_RANSAC_ITERATIONS):
         i, j = rng.choice(n, size=2, replace=False)
         d = fp[j] - fp[i]
         nd = float(np.linalg.norm(d))
@@ -283,7 +267,7 @@ def _ransac_rectangle_inliers(
         hi = np.percentile(q, 99.5, axis=0)
         outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
         dist = np.hypot(outside[:, 0], outside[:, 1])
-        mask = dist <= threshold
+        mask = dist <= _INLIER_THRESHOLD
         key = (int(np.count_nonzero(mask)), -float((hi - lo).prod()))
         if best is None or key > best[0]:
             best = (key, mask)
@@ -296,9 +280,6 @@ def fit_oriented_box(
     points,
     gravity=DEFAULT_GRAVITY,
     seed: int = 0,
-    ransac_iterations: int = 200,
-    inlier_threshold: float = 0.05,
-    height_percentiles: tuple[float, float] = (1.0, 99.0),
     min_height: float | None = None,
 ) -> Box3D:
     """Gravity-aligned oriented box around a point cloud.
@@ -328,7 +309,7 @@ def fit_oriented_box(
     u, v = _horizontal_basis(haxis)
 
     hcoord = pts @ haxis
-    h_lo, h_hi = np.percentile(hcoord, height_percentiles)
+    h_lo, h_hi = np.percentile(hcoord, _HEIGHT_PERCENTILES)
     height = float(h_hi - h_lo)
     if height < 1e-9:
         if min_height is None:
@@ -337,7 +318,7 @@ def fit_oriented_box(
 
     fp = np.column_stack([pts @ u, pts @ v])
     rng = np.random.default_rng(seed)
-    inliers = _ransac_rectangle_inliers(fp, rng, ransac_iterations, inlier_threshold)
+    inliers = _ransac_rectangle_inliers(fp, rng)
     if np.count_nonzero(inliers) < 3:
         inliers = np.ones(fp.shape[0], dtype=bool)
     theta, center2d, extents = _min_area_rectangle(fp[inliers])
@@ -353,7 +334,7 @@ def fit_oriented_box(
 # ---------------------------------------------------------------------------
 
 
-def anchor_weights(points, alpha: float = 0.5) -> np.ndarray:
+def anchor_weights(points, alpha: float = _MAHALANOBIS_ALPHA) -> np.ndarray:
     """Per-point weights exp(-alpha * Mahalanobis distance), in (0, 1].
 
     The covariance is regularized with 1e-6 * I; if inversion still fails
@@ -374,7 +355,7 @@ def anchor_weights(points, alpha: float = 0.5) -> np.ndarray:
     return np.exp(-alpha * m)
 
 
-def sample_anchors(points, weights, count: int = 256, seed: int = 0):
+def sample_anchors(points, weights, count: int = _ANCHOR_COUNT, seed: int = 0):
     """Weight-proportional subsample of at most ``count`` anchors."""
     pts = np.asarray(points, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -391,7 +372,7 @@ def sample_anchors(points, weights, count: int = 256, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def inclusion_loss(box: Box3D, anchor_points, weights, buffer: float = 0.02) -> float:
+def inclusion_loss(box: Box3D, anchor_points, weights, buffer: float = _INCLUSION_BUFFER) -> float:
     """Weighted mean distance of anchors outside the buffered box.
 
     Zero iff every anchor lies inside the box grown by ``buffer`` on each
@@ -405,7 +386,7 @@ def inclusion_loss(box: Box3D, anchor_points, weights, buffer: float = 0.02) -> 
     return float(np.sum(w * dist) / np.sum(w))
 
 
-def tightness_loss(box: Box3D, anchor_points, buffer: float = 0.1) -> float:
+def tightness_loss(box: Box3D, anchor_points, buffer: float = _TIGHTNESS_BUFFER) -> float:
     """Mean face-plane slack: hinge of (nearest anchor distance - buffer).
 
     Zero when every one of the six face planes has an anchor within
@@ -433,16 +414,22 @@ def projection_loss(box: Box3D, box2d: Box2D, camera: CameraModel) -> float:
     return 1.0 - giou2d(projected_box2d(box, camera), box2d)
 
 
-def _translation_objective(box: Box3D, anchor_points, weights, box2d, camera, cfg: OptimizerConfig):
+def _translation_objective(box: Box3D, anchor_points, weights, box2d, camera):
     def objective(center: np.ndarray) -> float:
         moved = Box3D(center, box.dims, box.quaternion)
         return (
-            cfg.lambda_inclusion * inclusion_loss(moved, anchor_points, weights, cfg.inclusion_buffer)
-            + cfg.lambda_tightness * tightness_loss(moved, anchor_points, cfg.tightness_buffer)
-            + cfg.lambda_projection * projection_loss(moved, box2d, camera)
+            _LAMBDA_INCLUSION * inclusion_loss(moved, anchor_points, weights)
+            + _LAMBDA_TIGHTNESS * tightness_loss(moved, anchor_points)
+            + _LAMBDA_PROJECTION * projection_loss(moved, box2d, camera)
         )
 
     return objective
+
+
+def check_grid_size(grid_size: int) -> None:
+    """Raise ValueError unless the translation lattice has an odd, positive side."""
+    if grid_size < 1 or grid_size % 2 == 0:
+        raise ValueError("grid_size must be odd so the unshifted center is a grid point")
 
 
 def optimize_translation(
@@ -451,23 +438,23 @@ def optimize_translation(
     weights,
     box2d: Box2D,
     camera: CameraModel,
-    cfg: OptimizerConfig | None = None,
+    grid_size: int = 5,
 ) -> TranslationResult:
     """Refine the candidate's center; dims and rotation stay fixed.
 
     Stage 1 evaluates the anchor/projection objective on a grid_size^3
-    lattice spanning ``window_scale`` x dims around the center (the center
-    itself is a lattice point). Stage 2 polishes the best lattice point with
-    bounded L-BFGS-B (central-difference gradients, step 1e-4) inside the
-    same window. If polishing fails to improve, the lattice best is returned
-    with a flag; the final loss never exceeds the lattice best.
+    lattice spanning the box dims around the center (the center itself is a
+    lattice point). Stage 2 polishes the best lattice point with bounded
+    L-BFGS-B (central-difference gradients, step 1e-4) inside the same
+    window. If polishing fails to improve, the lattice best is returned with
+    a flag; the final loss never exceeds the lattice best.
     """
-    cfg = cfg or OptimizerConfig()
-    objective = _translation_objective(candidate, anchor_points, weights, box2d, camera, cfg)
+    check_grid_size(grid_size)
+    objective = _translation_objective(candidate, anchor_points, weights, box2d, camera)
     origin = candidate.center
-    half_window = candidate.dims * cfg.window_scale / 2.0
+    half_window = candidate.dims / 2.0
 
-    axes = [np.linspace(-hw, hw, cfg.grid_size) for hw in half_window]
+    axes = [np.linspace(-hw, hw, grid_size) for hw in half_window]
     n_evals = 0
     best_center = None
     best_val = math.inf
@@ -486,8 +473,8 @@ def optimize_translation(
         g = np.zeros(3)
         for k in range(3):
             step = np.zeros(3)
-            step[k] = cfg.fd_step
-            g[k] = (objective(center + step) - objective(center - step)) / (2 * cfg.fd_step)
+            step[k] = _FD_STEP
+            g[k] = (objective(center + step) - objective(center - step)) / (2 * _FD_STEP)
         return g
 
     flags = ()
@@ -498,7 +485,7 @@ def optimize_translation(
             jac=jac,
             method="L-BFGS-B",
             bounds=bounds,
-            options={"maxiter": cfg.max_iterations, "ftol": cfg.f_tol},
+            options={"maxiter": _MAX_ITERATIONS, "ftol": _F_TOL},
         )
         refined_center, refined_val = res.x, float(res.fun)
     except Exception:
@@ -544,14 +531,13 @@ def adaptive_select(
     fallback: Box3D,
     box2d: Box2D,
     camera: CameraModel,
-    iou_threshold: float = 0.4,
 ) -> tuple[Box3D, str]:
     """Optimized box if its projection overlaps the 2D box enough, else fallback.
 
     Returns the chosen box and the branch name ("optimized" or "fallback").
     """
     overlap = iou2d(projected_box2d(optimized, camera), box2d)
-    if overlap >= iou_threshold:
+    if overlap >= _PROJECTED_IOU_THRESHOLD:
         return optimized, "optimized"
     return fallback, "fallback"
 
@@ -561,11 +547,11 @@ def adaptive_select(
 # ---------------------------------------------------------------------------
 
 
-def estimate_gravity(points, default=DEFAULT_GRAVITY, max_tilt_deg: float = 15.0) -> np.ndarray:
+def estimate_gravity(points, default=DEFAULT_GRAVITY) -> np.ndarray:
     """Scene gravity from the dominant ground plane, else the default.
 
     Takes the lowest quarter of the scene (largest y; y points down), fits a
-    plane by PCA, and accepts its normal when within ``max_tilt_deg`` of the
+    plane by PCA, and accepts its normal when within 15 degrees of the
     default vertical; otherwise returns the default.
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -582,7 +568,7 @@ def estimate_gravity(points, default=DEFAULT_GRAVITY, max_tilt_deg: float = 15.0
     eigvals, eigvecs = np.linalg.eigh(cov)
     normal = eigvecs[:, 0]
     cos = abs(float(normal @ d))
-    if math.degrees(math.acos(min(1.0, cos))) <= max_tilt_deg:
+    if math.degrees(math.acos(min(1.0, cos))) <= _MAX_TILT_DEG:
         return normal if normal @ d >= 0 else -normal
     return d
 
@@ -637,7 +623,7 @@ def lift_annotation(
     mask,
     box2d: Box2D,
     camera: CameraModel,
-    config: OptimizerConfig | None = None,
+    grid_size: int = 5,
     seed: int = 0,
     gravity=DEFAULT_GRAVITY,
 ) -> LiftCandidate:
@@ -646,7 +632,6 @@ def lift_annotation(
     Raises ValueError when a stage cannot produce a candidate (empty mask,
     all points noise, degenerate footprint); callers log and skip.
     """
-    cfg = config or OptimizerConfig()
     pts = extract_object_points(cloud, mask)
     n_extracted = pts.shape[0]
     cleaned = remove_outliers(pts)
@@ -658,17 +643,17 @@ def lift_annotation(
     # Anchors come from the full cleaned cloud, not the dominant cluster:
     # sparse but real surface points (grazing-angle faces) are what pin the
     # translation along the viewing ray.
-    weights = anchor_weights(cleaned, cfg.mahalanobis_alpha)
-    a_pts, a_w = sample_anchors(cleaned, weights, cfg.anchor_count, seed=seed)
+    weights = anchor_weights(cleaned)
+    a_pts, a_w = sample_anchors(cleaned, weights, seed=seed)
 
-    result = optimize_translation(fitted, a_pts, a_w, box2d, camera, cfg)
+    result = optimize_translation(fitted, a_pts, a_w, box2d, camera, grid_size)
     fallback = scale_depth_to_box2d(fitted, box2d, camera)
-    selected, branch = adaptive_select(result.box, fallback, box2d, camera, cfg.projected_iou_threshold)
+    selected, branch = adaptive_select(result.box, fallback, box2d, camera)
     corrected = correct_rotation(selected, cloud.points, box2d, camera, default_gravity=gravity)
 
     losses = {
-        "inclusion": inclusion_loss(corrected, a_pts, a_w, cfg.inclusion_buffer),
-        "tightness": tightness_loss(corrected, a_pts, cfg.tightness_buffer),
+        "inclusion": inclusion_loss(corrected, a_pts, a_w),
+        "tightness": tightness_loss(corrected, a_pts),
         "projection": projection_loss(corrected, box2d, camera),
     }
     measurements = {

@@ -63,6 +63,8 @@ class SynthSpec:
                 raise ValueError("bad height_range")
         if self.depth_range[0] <= 0 or self.depth_range[0] > self.depth_range[1]:
             raise ValueError("bad depth_range")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
 
 @dataclass

@@ -112,30 +112,9 @@ class TestIou:
         assert ei.value.code == 2
 
 
-class TestThreads:
-    BOX = TestIou.BOX
-
-    def test_zero_threads_rejected(self, capsys):
-        rc = main(["iou", "--box-a", *self.BOX, "--box-b", *self.BOX, "--threads", "0"])
-        assert rc == 2
-        assert "--threads" in capsys.readouterr().err
-
-    def test_env_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("MONO3DKIT_THREADS", "4")
-        rc = main(["iou", "--box-a", *self.BOX, "--box-b", *self.BOX, "--mc-samples", "100"])
-        assert rc == 0
-
-    def test_env_garbage_falls_back(self, monkeypatch, capsys):
-        monkeypatch.setenv("MONO3DKIT_THREADS", "lots")
-        rc = main(["iou", "--box-a", *self.BOX, "--box-b", *self.BOX, "--mc-samples", "100"])
-        assert rc == 0
-
-
 class TestSynthCommand:
-    def run(self, out_dir, extra=()):
-        return main(
-            ["synth", "--scenes", "2", "--boxes", "2", "--seed", "7", "--out-dir", str(out_dir), *extra]
-        )
+    def run(self, out_dir):
+        return main(["synth", "--scenes", "2", "--boxes", "2", "--seed", "7", "--out-dir", str(out_dir)])
 
     def test_writes_scene_files(self, tmp_path, capsys):
         out = tmp_path / "scenes"
@@ -159,12 +138,25 @@ class TestSynthCommand:
         assert im["depth_path"] == "synth-000007.wd3d"
 
     def test_deterministic_and_thread_independent(self, tmp_path, capsys):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert self.run(first) == 0
+        assert self.run(second) == 0
+        hashes = {n: file_hash(first / n) for n in os.listdir(first) if n != "synth-config.json"}
+        assert hashes == {n: file_hash(second / n) for n in os.listdir(second) if n != "synth-config.json"}
+
+    def test_failed_write_removes_what_the_run_created(self, tmp_path, capsys, monkeypatch):
+        def refuse(ds, path):
+            raise OSError(f"{path}: disk full")
+
+        monkeypatch.setattr("mono3dkit.dataio.write_dataset", refuse)
         out = tmp_path / "scenes"
-        assert self.run(out) == 0
-        first = {n: file_hash(out / n) for n in os.listdir(out) if n != "synth-config.json"}
-        assert self.run(out, extra=("--threads", "4")) == 0
-        second = {n: file_hash(out / n) for n in os.listdir(out) if n != "synth-config.json"}
-        assert first == second
+        assert self.run(out) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert not out.exists()
+        out.mkdir()
+        (out / "keep.txt").write_text("not ours")
+        assert self.run(out) == 2
+        assert os.listdir(out) == ["keep.txt"]
 
     def test_config_echo(self, tmp_path, capsys):
         out = tmp_path / "scenes"
@@ -410,7 +402,7 @@ class TestLiftCommand:
 
 # ---------------------------------------------------------------------------
 # Bad input files and flag values: exit 2, a message naming the file, record
-# or flag, nothing on stdout, no temp file left behind
+# or flag, nothing on stdout, no temp file or synth directory left behind
 # ---------------------------------------------------------------------------
 
 
@@ -500,13 +492,36 @@ def case_instance_map_shape(tmp_path):
     return argv, str(tmp_path / "masks" / "im0.wd3i")
 
 
+def edit_first_annotation(path, **fields):
+    doc = json.loads(open(path).read())
+    doc["annotations"][0].update(fields)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+
+
 def case_nan_gt_center(tmp_path):
     gt, pred = eval_pair(tmp_path)
-    doc = json.loads(open(gt).read())
-    doc["annotations"][0]["center"][0] = float("nan")
-    with open(gt, "w") as f:
-        json.dump(doc, f)
+    edit_first_annotation(gt, center=[float("nan"), 0.0, 5.0])
     return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0'"
+
+
+def case_sample_three_value_box2d(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first_annotation(gt, box2d=[100.0, 100.0, 200.0])
+    return ["sample", gt], "annotation 'a0'"
+
+
+def case_sample_nan_center(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first_annotation(gt, center=[0.0, float("nan"), 5.0])
+    return ["sample", gt], "annotation 'a0'"
+
+
+def case_lift_nan_center(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    nan_3d = dict(center=[0.0, 0.0, float("nan")], dims=[1.0, 1.0, 1.0], quaternion=[1.0, 0.0, 0.0, 0.0])
+    edit_first_annotation(argv[1], ignore3d=False, **nan_3d)
+    return argv, "annotation 'a0'"
 
 
 def case_symmetric_categories_not_text(tmp_path):
@@ -555,6 +570,9 @@ BAD_INPUT_CASES = [
     case_truncated_depth_header,
     case_instance_map_shape,
     case_nan_gt_center,
+    case_sample_three_value_box2d,
+    case_sample_nan_center,
+    case_lift_nan_center,
     case_symmetric_categories_not_text,
     case_flag("--grid-size", "4"),
     case_flag("--grid-size", "0"),
@@ -562,6 +580,7 @@ BAD_INPUT_CASES = [
     case_flag("--max-dets", "-1"),
     case_flag("--boxes", "0"),
     case_flag("--fx", "0"),
+    case_flag("--noise-sigma", "-1"),
     case_synth_placement_fails,
     case_output_is_directory,
 ]
@@ -578,3 +597,4 @@ def test_bad_input_exits_2_and_names_it(case, tmp_path, capsys):
     assert needle in captured.err
     assert captured.out == ""
     assert list(tmp_path.rglob("*.tmp-*")) == []
+    assert not (tmp_path / "synth").exists()

@@ -268,6 +268,34 @@ class TestValidateDataset:
         ds = DatasetFile(images=[make_image("im0")], annotations=[full_annotation(dims=(0.5, -1.0, 2.0))])
         self.check(ds, "non-positive dims")
 
+    def test_box2d_length_checked_before_unpacking(self):
+        ds = DatasetFile(images=[make_image("im0")], annotations=[make_annotation(box2d=(1.0, 2.0, 3.0), ignore3d=True)])
+        self.check(ds, "annotation 'a0': box2d has 3 values, expected 4")
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("box2d", "non-finite box2d"),
+            ("center", "non-finite center, dims or quaternion"),
+            ("dims", "non-finite center, dims or quaternion"),
+            ("quaternion", "non-finite center, dims or quaternion"),
+            ("s2d", "non-finite s2d or s3d"),
+            ("s3d", "non-finite s2d or s3d"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_annotation_fields_name_the_record(self, field, message, bad):
+        good = full_annotation("a7")
+        value = getattr(good, field)
+        value = bad if isinstance(value, float) else (bad, *value[1:])
+        ds = DatasetFile(images=[make_image("im0")], annotations=[full_annotation("a7", **{field: value})])
+        self.check(ds, f"annotation 'a7': {message}")
+
+    @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy"])
+    def test_non_finite_intrinsics_name_the_image(self, key):
+        ds = DatasetFile(images=[make_image("im3", **{key: math.nan})])
+        self.check(ds, "image 'im3': non-finite intrinsics")
+
     def test_non_unit_quaternion(self):
         ds = DatasetFile(
             images=[make_image("im0")],

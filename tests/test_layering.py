@@ -51,6 +51,34 @@ def test_imports_point_to_lower_ranks(module):
     assert not upward, f"{module} (rank {RANK[module]}) imports {upward}"
 
 
+ENVIRONMENT_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """Lines of ``source`` that read the process environment through ``os``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS:
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ENVIRONMENT_READS for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_results_do_not_depend_on_the_environment(module):
+    """Output depends on inputs, flags and seeds only, never on environment variables."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert environment_reads(source) == [], f"{module} reads os.environ/os.getenv"
+
+
+def test_environment_reads_are_seen():
+    source = "import os\nfrom os import getenv\na = os.environ['X']\nb = os.getenv('Y')\nc = os.path.join('a')\n"
+    assert environment_reads(source) == [2, 3, 4]
+
+
 def test_relative_import_forms_are_seen():
     # cli uses "from . import dataio" as well as "from .x import y".
     assert {"dataio", "evaluation", "camera"} <= package_imports("cli")

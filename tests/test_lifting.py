@@ -9,7 +9,6 @@ from mono3dkit import (
     Box2D,
     Box3D,
     CameraModel,
-    OptimizerConfig,
     SceneCloud,
     SynthSpec,
     adaptive_select,
@@ -135,7 +134,77 @@ def ball_cloud(rng, center, radius, n):
     return np.asarray(center) + v * radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / 3.0)
 
 
+def bfs_largest_cluster(points, min_points=8):
+    """The breadth-first DBSCAN that ``largest_cluster`` replaced, kept as its reference."""
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if n == 0:
+        raise ValueError("no points to cluster")
+    tree = cKDTree(pts)
+    eps = 3.0 * float(np.median(tree.query(pts, k=2)[0][:, 1])) if n > 1 else 0.0
+    if eps <= 0:
+        raise ValueError("degenerate point spacing; all points classified as noise")
+    neighbors = tree.query_ball_point(pts, eps)
+    core = np.fromiter((len(nb) >= min_points for nb in neighbors), dtype=bool, count=n)
+    labels = np.full(n, -1, dtype=np.int64)
+    n_clusters = 0
+    for i in range(n):
+        if labels[i] != -1 or not core[i]:
+            continue
+        labels[i] = n_clusters
+        queue = [i]
+        while queue:
+            j = queue.pop()
+            for nb in neighbors[j]:
+                if labels[nb] == -1:
+                    labels[nb] = n_clusters
+                    if core[nb]:
+                        queue.append(nb)
+        n_clusters += 1
+    if n_clusters == 0:
+        raise ValueError("all points classified as noise")
+    best_label, best_key = -1, None
+    for c in range(n_clusters):
+        members = labels == c
+        key = (int(np.count_nonzero(members)), -float(pts[members, 2].mean()))
+        if best_key is None or key > best_key:
+            best_key, best_label = key, c
+    return pts[labels == best_label]
+
+
+def outcome(fn, pts, min_points):
+    try:
+        return fn(pts, min_points=min_points)
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestLargestCluster:
+    @pytest.mark.parametrize("min_points", [3, 8, 11])
+    def test_equals_breadth_first_reference(self, min_points):
+        """Blobs that touch, uniform noise and integer-grid distance ties."""
+        rng = np.random.default_rng(100 + min_points)
+        kinds = set()
+        for trial in range(120):
+            parts = [
+                ball_cloud(rng, rng.uniform(-2.0, 2.0, 3), rng.uniform(0.3, 1.5), int(rng.integers(5, 120)))
+                for _ in range(int(rng.integers(1, 5)))
+            ]
+            parts.append(rng.uniform(-4.0, 4.0, (int(rng.integers(0, 40)), 3)))
+            pts = np.vstack(parts)
+            if trial % 3 == 0:
+                pts = np.round(pts * 2.0)
+            want = outcome(bfs_largest_cluster, pts, min_points)
+            got = outcome(largest_cluster, pts, min_points)
+            kinds.add(type(want))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert isinstance(got, np.ndarray) and np.array_equal(got, want), trial
+        assert np.ndarray in kinds
+
     def test_returns_biggest_blob(self):
         rng = np.random.default_rng(2)
         big = ball_cloud(rng, [0, 0, 5], 0.3, 200)
@@ -342,9 +411,7 @@ class TestOptimizeTranslation:
         start = Box3D(center + [0.1, 0.1, 0.0], [1.0, 1.0, 1.0], [1, 0, 0, 0])
         res = optimize_translation(start, a_pts, a_w, box2d, CAM)
         assert res.n_grid_evaluations == 125
-        res = optimize_translation(
-            start, a_pts, a_w, box2d, CAM, OptimizerConfig(grid_size=3)
-        )
+        res = optimize_translation(start, a_pts, a_w, box2d, CAM, grid_size=3)
         assert res.n_grid_evaluations == 27
 
     def test_refinement_never_worse_than_grid(self):

@@ -129,6 +129,11 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(depth_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            SynthSpec(noise_sigma=sigma)
+
 
 class TestSynthScene:
     def scene(self, seed=0, **kw):
