@@ -35,6 +35,43 @@ class InputError(ValueError):
     """User-correctable problem: bad paths, malformed files, bad flags."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors are InputErrors, so ``main`` reports them like any bad input."""
+
+    def error(self, message):
+        raise InputError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _int_at_least(low: int):
+    """Argparse type: an integer no smaller than ``low``."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return check
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
+
+
+def _fraction(text: str) -> float:
+    """Argparse type: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 @contextlib.contextmanager
 def _input_errors(prefix: str = ""):
     """Re-raise a ValueError from the block as an InputError, message prefixed."""
@@ -103,8 +140,6 @@ def ground_truths_from_dataset(ds: dataio.DatasetFile):
 
 
 def _cmd_eval(args) -> int:
-    if args.max_dets < 1:
-        raise InputError("--max-dets must be at least 1")
     gt = _read_dataset(args.gt)
     pred = _read_dataset(args.pred)
     symmetric = ()
@@ -292,9 +327,9 @@ def _write_synth(args, spec: SynthSpec, camera: CameraModel, written: list):
 
 
 def _cmd_synth(args) -> int:
-    with _input_errors("--fx/--fy/--width/--height: "):
+    with _input_errors("--fx/--fy: "):
         camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
-    with _input_errors("--boxes/--noise-sigma: "):
+    with _input_errors("--noise-sigma: "):
         spec = SynthSpec(
             n_boxes=args.boxes,
             noise_sigma=args.noise_sigma,
@@ -358,8 +393,6 @@ def _parse_box(values) -> Box3D:
 
 
 def _cmd_iou(args) -> int:
-    if args.mc_samples < 1:
-        raise InputError("--mc-samples must be at least 1")
     with _input_errors("bad box: "):
         a = _parse_box(args.box_a)
         b = _parse_box(args.box_b)
@@ -375,16 +408,16 @@ def _cmd_iou(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mono3dkit", description=__doc__)
+    parser = _Parser(prog="mono3dkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="run the 3D detection benchmark")
     p.add_argument("gt", help="ground-truth dataset file")
     p.add_argument("pred", help="prediction dataset file (annotations carry s2d/s3d)")
     p.add_argument("--mode", choices=("iou", "dist"), default="iou")
-    p.add_argument("--nms-iou", type=float, default=0.6)
-    p.add_argument("--score-thresh", type=float, default=0.05)
-    p.add_argument("--max-dets", type=int, default=100)
+    p.add_argument("--nms-iou", type=_fraction, default=0.6)
+    p.add_argument("--score-thresh", type=_fraction, default=0.05)
+    p.add_argument("--max-dets", type=_positive_int, default=100)
     p.add_argument("--symmetric-categories", default=None, help="file with one category per line")
     p.add_argument("--output", default="eval-result.json")
     p.add_argument("--table", default=None, help="also write the text table here")
@@ -397,17 +430,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="candidates.json")
     p.add_argument("--size-spec", default=None)
     p.add_argument("--dataset-class", choices=("standard", "fine_grained"), default="standard")
-    p.add_argument("--grid-size", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid-size", type=_positive_int, default=5)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("synth", help="generate synthetic scenes")
-    p.add_argument("--boxes", type=int, default=3)
-    p.add_argument("--scenes", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--boxes", type=_positive_int, default=3)
+    p.add_argument("--scenes", type=_positive_int, default=1)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--out-dir", default="synth-out")
-    p.add_argument("--width", type=int, default=960)
-    p.add_argument("--height", type=int, default=720)
+    p.add_argument("--width", type=_positive_int, default=960)
+    p.add_argument("--height", type=_positive_int, default=720)
     p.add_argument("--fx", type=float, default=450.0)
     p.add_argument("--fy", type=float, default=450.0)
     p.add_argument("--cx", type=float, default=480.0)
@@ -420,28 +453,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="select a balanced evaluation split")
     p.add_argument("dataset")
-    p.add_argument("--size", type=int, default=0, help="phase-2 target image count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_non_negative_int, default=0, help="phase-2 target image count")
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("iou", help="exact and Monte-Carlo IoU of two boxes")
     p.add_argument("--box-a", nargs=10, required=True, metavar="V", help="cx cy cz w h l qw qx qy qz")
     p.add_argument("--box-b", nargs=10, required=True, metavar="V")
-    p.add_argument("--mc-samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-samples", type=_positive_int, default=100_000)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_iou)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - internal failure path

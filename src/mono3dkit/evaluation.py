@@ -374,12 +374,10 @@ def evaluate(
     detections,
     ground_truths,
     mode: str = "iou",
-    thresholds=None,
     symmetric_categories=(),
     nms_iou: float = NMS_IOU,
     score_floor: float = SCORE_FLOOR,
     max_per_image: int = MAX_PER_IMAGE,
-    run_nms: bool = True,
 ) -> EvalResult:
     """Full benchmark run: NMS, AP sweeps, splits, TP errors, ODS.
 
@@ -392,10 +390,8 @@ def evaluate(
     """
     if mode not in ("iou", "dist"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
-    thresholds = tuple(thresholds) if thresholds is not None else (
-        IOU_THRESHOLDS if mode == "iou" else DIST_THRESHOLDS
-    )
-    dets = nms(detections, nms_iou, score_floor, max_per_image) if run_nms else list(detections)
+    thresholds = IOU_THRESHOLDS if mode == "iou" else DIST_THRESHOLDS
+    dets = nms(detections, nms_iou, score_floor, max_per_image)
 
     categories = sorted(
         {g.category for g in ground_truths if not g.ignore3d}

@@ -15,7 +15,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,9 +26,7 @@ __all__ = [
     "box_corners",
     "quat_to_matrix",
     "matrix_to_quat",
-    "quat_multiply",
     "random_quaternion",
-    "rotation_angle_between",
     "rot6d_to_matrix",
     "matrix_to_rot6d",
     "yaw_of_rotation",
@@ -150,11 +148,6 @@ class Box3D:
     def volume(self) -> float:
         return float(np.prod(self.dims))
 
-    def normalized(self) -> "Box3D":
-        """Box with canonical dims/rotation (same point set)."""
-        dims, quat = normalize_box_rotation(self.dims, self.quaternion)
-        return Box3D(self.center, dims, quat)
-
     def translated(self, offset) -> "Box3D":
         return Box3D(self.center + np.asarray(offset, dtype=np.float64), self.dims, self.quaternion)
 
@@ -222,20 +215,6 @@ def matrix_to_quat(m) -> np.ndarray:
     return q
 
 
-def quat_multiply(a, b) -> np.ndarray:
-    """Hamilton product a*b, scalar-first."""
-    aw, ax, ay, az = np.asarray(a, dtype=np.float64)
-    bw, bx, by, bz = np.asarray(b, dtype=np.float64)
-    return np.array(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ]
-    )
-
-
 def random_quaternion(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit quaternion (Shoemake's subgroup algorithm)."""
     u1, u2, u3 = rng.uniform(size=3)
@@ -248,14 +227,6 @@ def random_quaternion(rng: np.random.Generator) -> np.ndarray:
             b * math.cos(2 * math.pi * u3),
         ]
     )
-
-
-def rotation_angle_between(r_a, r_b) -> float:
-    """Geodesic angle in radians between two rotation matrices."""
-    r_a = np.asarray(r_a, dtype=np.float64)
-    r_b = np.asarray(r_b, dtype=np.float64)
-    cos = (np.trace(r_a.T @ r_b) - 1.0) / 2.0
-    return math.acos(min(1.0, max(-1.0, cos)))
 
 
 # ---------------------------------------------------------------------------
@@ -450,19 +421,14 @@ def intersection_volume(a: Box3D, b: Box3D) -> float:
     return max(0.0, _polyhedron_volume(faces))
 
 
-def iou3d(a: Box3D, b: Box3D, return_flag: bool = False):
-    """Exact 3D IoU of two oriented boxes.
-
-    With ``return_flag`` the result is ``(iou, degenerate)`` where
-    ``degenerate`` marks a (near-)zero-volume input; the IoU is then 0.
-    """
+def iou3d(a: Box3D, b: Box3D) -> float:
+    """Exact 3D IoU of two oriented boxes; 0 when either has (near-)zero volume."""
     va, vb = a.volume, b.volume
     if va < _DEGENERATE_VOLUME or vb < _DEGENERATE_VOLUME:
-        return (0.0, True) if return_flag else 0.0
+        return 0.0
     vi = intersection_volume(a, b)
     union = va + vb - vi
-    iou = float(min(1.0, max(0.0, vi / union)))
-    return (iou, False) if return_flag else iou
+    return float(min(1.0, max(0.0, vi / union)))
 
 
 # Samples drawn and tested per pass of the Monte-Carlo oracle. It bounds the

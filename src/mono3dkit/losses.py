@@ -165,6 +165,8 @@ def conf_loss(logits_matched, qstars, logits_unmatched, targets=None) -> LossRep
             raise ValueError("logits_matched and qstars must share shape")
         p = _sigmoid(cm)
         t = conf_target(cm, q) if targets is None else np.asarray(targets, dtype=np.float64)
+        if t.shape != cm.shape:
+            raise ValueError("targets must match logits_matched in shape")
         pos = float(np.mean(_bce_with_logit(cm, t)))
         grad_m = (p - t) / cm.size
     else:
@@ -330,7 +332,7 @@ def mask_bce_loss(pred_conf, gt_state) -> LossReport:
 
 
 def _giou2d_grad(pred: np.ndarray, tgt: np.ndarray):
-    """GIoU of two corner-form boxes and d(GIoU)/d(pred)."""
+    """GIoU of two corner-form boxes, d(GIoU)/d(pred), and their plain IoU."""
     ax1, ay1, ax2, ay2 = pred
     bx1, by1, bx2, by2 = tgt
     # Intersection extents with selection gradients.
@@ -360,7 +362,7 @@ def _giou2d_grad(pred: np.ndarray, tgt: np.ndarray):
     # GIoU = IoU - (hull - union)/hull = IoU - 1 + union/hull
     giou = iou - 1.0 + union / hull
     dgiou = diou + (dunion * hull - union * dhull) / hull**2
-    return giou, dgiou
+    return giou, dgiou, iou
 
 
 def loss_2d(
@@ -385,8 +387,9 @@ def loss_2d(
         presence_logit, presence_target: optional scalar presence logit and
             binary target for the queried category.
 
-    Terms: classification (soft target sigmoid^0.25 * IoU^0.75, positives
-    weighted 5, unmatched focal gamma=2, term weight 20), l1 (normalized
+    Terms: classification (:func:`conf_loss` with each match's IoU as its
+    quality: soft target sigmoid^0.25 * IoU^0.75, positives weighted 5,
+    unmatched focal gamma=2; term weight 20), l1 (normalized
     cxcywh, weight 5), giou (weight 2), presence (plain BCE, weight 20).
     Gradient keys: "boxes", "logits", and "presence" when supplied.
 
@@ -404,35 +407,18 @@ def loss_2d(
     matched_pred = {i for i, _ in matches}
     unmatched = [i for i in range(pb.shape[0]) if i not in matched_pred]
     n_pos = max(len(matches), 1)
-    n_neg = max(len(unmatched), 1)
     flags = []
     if not matches:
         flags.append("no_positives")
 
     grad_boxes = np.zeros_like(pb)
-    grad_logits = np.zeros_like(pl)
-
-    cls_term = 0.0
     l1_term = 0.0
     giou_term = 0.0
+    ious = np.zeros(len(matches))
     scale = np.array([width, height, width, height])
 
     for k, (i, j) in enumerate(matches):
-        giou, dgiou = _giou2d_grad(pb[i], tb[j])
-        p = float(_sigmoid(pl[i]))
-        if cls_targets is not None:
-            t = float(np.asarray(cls_targets, dtype=np.float64)[k])
-        else:
-            # IoU for the soft classification target (detached).
-            iw = max(0.0, min(pb[i, 2], tb[j, 2]) - max(pb[i, 0], tb[j, 0]))
-            ih = max(0.0, min(pb[i, 3], tb[j, 3]) - max(pb[i, 1], tb[j, 1]))
-            inter = iw * ih
-            area_p = (pb[i, 2] - pb[i, 0]) * (pb[i, 3] - pb[i, 1])
-            area_t = (tb[j, 2] - tb[j, 0]) * (tb[j, 3] - tb[j, 1])
-            iou = inter / (area_p + area_t - inter) if inter > 0 else 0.0
-            t = p**_CONF_TARGET_EXP * iou ** (1.0 - _CONF_TARGET_EXP)
-        cls_term += _POS_BCE_WEIGHT * float(_bce_with_logit(pl[i], t)) / n_pos
-        grad_logits[i] += 20.0 * _POS_BCE_WEIGHT * (p - t) / n_pos
+        giou, dgiou, ious[k] = _giou2d_grad(pb[i], tb[j])
 
         # Normalized cxcywh L1: sum of |delta| over the four components.
         px = pb[i] / scale
@@ -455,14 +441,14 @@ def loss_2d(
         giou_term += (1.0 - giou) / n_pos
         grad_boxes[i] += 2.0 * (-dgiou) / n_pos
 
-    neg_term = 0.0
-    for i in unmatched:
-        p = float(_sigmoid(pl[i]))
-        neg_term += p**_FOCAL_GAMMA * float(_softplus(pl[i])) / n_neg
-        grad_logits[i] += 20.0 * (2.0 * p**2 * (1.0 - p) * float(_softplus(pl[i])) + p**3) / n_neg
-    cls_total = cls_term + neg_term
+    matched_idx = np.array([i for i, _ in matches], dtype=np.intp)
+    cls = conf_loss(pl[matched_idx], ious, pl[unmatched], targets=cls_targets)
+    grad_logits = np.zeros_like(pl)
+    # One prediction may match several targets, so its gradients add up.
+    np.add.at(grad_logits, matched_idx, 20.0 * cls.gradient["logits_matched"])
+    grad_logits[unmatched] = 20.0 * cls.gradient["logits_unmatched"]
 
-    terms = {"classification": cls_total, "l1": l1_term, "giou": giou_term}
+    terms = {"classification": cls.value, "l1": l1_term, "giou": giou_term}
     weights = {"classification": 20.0, "l1": 5.0, "giou": 2.0}
     gradient = {"boxes": grad_boxes, "logits": grad_logits}
 
@@ -492,26 +478,21 @@ def camera_ray_mse(pred_camera: CameraModel, gt_camera: CameraModel, resolution=
     """
     if (pred_camera.width, pred_camera.height) != (gt_camera.width, gt_camera.height):
         raise ValueError("cameras must share image size")
-    cols, rows = resolution
     pred = ray_field(pred_camera, resolution).directions
     gt = ray_field(gt_camera, resolution).directions
     diff = pred - gt
     value = float(np.mean(diff**2))
 
     # Unnormalized ray d = ((u-cx)/fx, (v-cy)/fy, 1); r = d/|d|;
-    # dr/dd = (I - r r^T)/|d|.
-    u = (np.arange(cols) + 0.5) * (pred_camera.width / cols)
-    v = (np.arange(rows) + 0.5) * (pred_camera.height / rows)
-    uu, vv = np.meshgrid(u, v)
-    dx = (uu - pred_camera.cx) / pred_camera.fx
-    dy = (vv - pred_camera.cy) / pred_camera.fy
-    d = np.stack([dx, dy, np.ones_like(dx)], axis=-1)
-    dnorm = np.linalg.norm(d, axis=-1)
+    # dr/dd = (I - r r^T)/|d|. Since d_z = 1, r_z = 1/|d| and d = r / r_z.
+    rz = pred[..., 2]
+    dx = pred[..., 0] / rz
+    dy = pred[..., 1] / rz
     # Common factor of MSE derivative: (2/(3*rows*cols)) * diff.
     w = diff * (2.0 / diff.size)
-    # Back through the normalization: g_d = (w - (w.r) r) / |d|
+    # Back through the normalization: g_d = (w - (w.r) r) / |d| = (w - (w.r) r) r_z
     wr = np.sum(w * pred, axis=-1, keepdims=True)
-    g_d = (w - wr * pred) / dnorm[..., None]
+    g_d = (w - wr * pred) * rz[..., None]
     # d d/d params
     g_fx = float(np.sum(g_d[..., 0] * (-dx / pred_camera.fx)))
     g_fy = float(np.sum(g_d[..., 1] * (-dy / pred_camera.fy)))

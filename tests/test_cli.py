@@ -101,15 +101,13 @@ class TestIou:
         assert "--mc-samples" in captured.err
         assert captured.out == ""
 
-    def test_wrong_arity_rejected_by_parser(self):
-        with pytest.raises(SystemExit) as ei:
-            main(["iou", "--box-a", "1", "2", "--box-b", *self.BOX])
-        assert ei.value.code == 2
+    def test_wrong_arity_rejected_by_parser(self, capsys):
+        assert main(["iou", "--box-a", "1", "2", "--box-b", *self.BOX]) == 2
+        assert capsys.readouterr().err.startswith("error: argument --box-a: expected 10 arguments")
 
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit) as ei:
-            main(["iou", "--box-a", *self.BOX, "--box-b", *self.BOX, "--turbo"])
-        assert ei.value.code == 2
+    def test_unknown_flag_rejected(self, capsys):
+        assert main(["iou", "--box-a", *self.BOX, "--box-b", *self.BOX, "--turbo"]) == 2
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: --turbo")
 
 
 class TestSynthCommand:
@@ -531,18 +529,29 @@ def case_symmetric_categories_not_text(tmp_path):
     return ["eval", gt, pred, "--symmetric-categories", str(sym), "--output", str(tmp_path / "r.json")], str(sym)
 
 
-def case_flag(flag, value):
-    def build(tmp_path):
-        if flag == "--grid-size":
-            argv = small_lift_inputs(tmp_path)
-        elif flag == "--max-dets":
-            gt, pred = eval_pair(tmp_path)
-            argv = ["eval", gt, pred, "--output", str(tmp_path / "r.json")]
-        else:
-            argv = ["synth", "--out-dir", str(tmp_path / "synth")]
-        return [*argv, flag, value], flag
+FLAG_COMMANDS = {"--grid-size": "lift", "--max-dets": "eval", "--nms-iou": "eval", "--score-thresh": "eval"}
 
-    build.__name__ = f"case_flag_{flag.strip('-').replace('-', '_')}_{value}"
+
+def command_argv(command, tmp_path):
+    """A valid argv for ``command`` to append one bad flag to."""
+    if command == "lift":
+        return small_lift_inputs(tmp_path)
+    if command == "eval":
+        gt, pred = eval_pair(tmp_path)
+        return ["eval", gt, pred, "--output", str(tmp_path / "r.json")]
+    if command == "iou":
+        return ["iou", "--box-a", *TestIou.BOX, "--box-b", *TestIou.BOX]
+    return ["synth", "--out-dir", str(tmp_path / "synth")]
+
+
+def case_flag(flag, value, command=None):
+    """``flag value`` on ``command``; by default the subcommand that owns the flag, else synth."""
+
+    def build(tmp_path):
+        return [*command_argv(command or FLAG_COMMANDS.get(flag, "synth"), tmp_path), flag, value], flag
+
+    suffix = f"_{command}" if command else ""
+    build.__name__ = f"case_flag_{flag.strip('-').replace('-', '_')}_{value}{suffix}"
     return build
 
 
@@ -581,6 +590,12 @@ BAD_INPUT_CASES = [
     case_flag("--boxes", "0"),
     case_flag("--fx", "0"),
     case_flag("--noise-sigma", "-1"),
+    case_flag("--seed", "-1", "lift"),
+    case_flag("--seed", "-1", "iou"),
+    case_flag("--scenes", "-1"),
+    case_flag("--scenes", "0"),
+    case_flag("--nms-iou", "7"),
+    case_flag("--score-thresh", "5"),
     case_synth_placement_fails,
     case_output_is_directory,
 ]

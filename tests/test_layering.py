@@ -82,3 +82,44 @@ def test_environment_reads_are_seen():
 def test_relative_import_forms_are_seen():
     # cli uses "from . import dataio" as well as "from .x import y".
     assert {"dataio", "evaluation", "camera"} <= package_imports("cli")
+
+
+def package_exports() -> set:
+    """Names the package ``__init__`` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def unreferenced_definitions(sources: list, exported: set) -> list:
+    """Module-level public functions and classes of the module texts ``sources``
+    that no name or attribute refers to outside their own definition, and that
+    are not in ``exported``. A name listed only in ``__all__`` is a string, not
+    a reference."""
+    defined, used = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                defined.add(top.name)
+                own = top.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    used.add(node.attr)
+    return sorted(defined - used - exported)
+
+
+def test_every_public_definition_is_used_or_exported():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unreferenced_definitions(sources, package_exports()) == []
+
+
+def test_unreferenced_definitions_are_seen():
+    sources = [
+        "__all__ = ['dead']\ndef used():\n    pass\ndef dead():\n    return dead()\nclass Kept:\n    pass\n",
+        "from . import a\nfrom .a import used\nx = used() + a.Kept\n",
+    ]
+    assert unreferenced_definitions(sources, set()) == ["dead"]
+    assert unreferenced_definitions(sources, {"dead"}) == []
+    assert {"CameraModel", "evaluate", "iou3d"} <= package_exports()

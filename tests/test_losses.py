@@ -17,6 +17,7 @@ from mono3dkit import (
     l3d_regression,
     loss_2d,
     mask_bce_loss,
+    ray_field,
     scale_and_clip_o2m,
     silog_loss,
 )
@@ -158,6 +159,8 @@ class TestConfLoss:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             conf_loss([0.0, 1.0], [0.5], [])
+        with pytest.raises(ValueError, match="targets"):
+            conf_loss([0.0, 1.0], [0.5, 0.5], [], targets=[0.3])
 
 
 class TestSilog:
@@ -383,6 +386,11 @@ class TestLoss2d:
         assert_grad_close(rep.gradient["boxes"], num_boxes, rtol=1e-4)
         assert_grad_close(rep.gradient["logits"], num_logits, rtol=1e-4)
 
+    def test_one_cls_target_per_match(self):
+        box = np.array([[0.0, 0.0, 10.0, 10.0], [5.0, 5.0, 20.0, 20.0]])
+        with pytest.raises(ValueError, match="targets"):
+            loss_2d(box, [0.1, 0.2], box, [(0, 0), (1, 1)], (100, 100), cls_targets=[0.3])
+
     def test_presence_gradient(self):
         box = np.array([[0.0, 0.0, 10.0, 10.0]])
 
@@ -401,6 +409,136 @@ class TestLoss2d:
         assert_grad_close(np.array([float(rep.gradient["presence"])]), num)
 
 
+def parent_loss_2d(pred, logits, tgt, matches, image_size, cls_targets=None):
+    """loss_2d without presence, with the classification term computed inline
+    as it was before it called conf_loss. Returns (value, classification,
+    box gradient, logit gradient, flags)."""
+    from mono3dkit.losses import _giou2d_grad
+
+    def sig(x):
+        return float(0.5 * (1.0 + np.tanh(0.5 * x)))
+
+    def softplus_np(x):
+        return float(np.logaddexp(0.0, x))
+
+    width, height = float(image_size[0]), float(image_size[1])
+    scale = np.array([width, height, width, height])
+    matched = {i for i, _ in matches}
+    unmatched = [i for i in range(len(logits)) if i not in matched]
+    n_pos = max(len(matches), 1)
+    n_neg = max(len(unmatched), 1)
+    grad_boxes = np.zeros_like(pred)
+    grad_logits = np.zeros_like(logits)
+    cls_term = l1_term = giou_term = 0.0
+    for k, (i, j) in enumerate(matches):
+        giou, dgiou = _giou2d_grad(pred[i], tgt[j])[:2]
+        p = sig(logits[i])
+        if cls_targets is not None:
+            t = float(cls_targets[k])
+        else:
+            iw = max(0.0, min(pred[i, 2], tgt[j, 2]) - max(pred[i, 0], tgt[j, 0]))
+            ih = max(0.0, min(pred[i, 3], tgt[j, 3]) - max(pred[i, 1], tgt[j, 1]))
+            inter = iw * ih
+            area_p = (pred[i, 2] - pred[i, 0]) * (pred[i, 3] - pred[i, 1])
+            area_t = (tgt[j, 2] - tgt[j, 0]) * (tgt[j, 3] - tgt[j, 1])
+            iou = inter / (area_p + area_t - inter) if inter > 0 else 0.0
+            t = p**0.25 * iou**0.75
+        cls_term += 5.0 * (t * softplus_np(-logits[i]) + (1.0 - t) * softplus_np(logits[i])) / n_pos
+        grad_logits[i] += 20.0 * 5.0 * (p - t) / n_pos
+
+        px, tx = pred[i] / scale, tgt[j] / scale
+        pc = np.array([(px[0] + px[2]) / 2, (px[1] + px[3]) / 2, px[2] - px[0], px[3] - px[1]])
+        tc = np.array([(tx[0] + tx[2]) / 2, (tx[1] + tx[3]) / 2, tx[2] - tx[0], tx[3] - tx[1]])
+        sign = np.sign(pc - tc)
+        l1_term += float(np.sum(np.abs(pc - tc))) / n_pos
+        dl1 = np.array(
+            [
+                (0.5 * sign[0] - sign[2]) / width,
+                (0.5 * sign[1] - sign[3]) / height,
+                (0.5 * sign[0] + sign[2]) / width,
+                (0.5 * sign[1] + sign[3]) / height,
+            ]
+        )
+        grad_boxes[i] += 5.0 * dl1 / n_pos
+        giou_term += (1.0 - giou) / n_pos
+        grad_boxes[i] += 2.0 * (-dgiou) / n_pos
+    neg_term = 0.0
+    for i in unmatched:
+        p = sig(logits[i])
+        neg_term += p**2 * softplus_np(logits[i]) / n_neg
+        grad_logits[i] += 20.0 * (2.0 * p**2 * (1.0 - p) * softplus_np(logits[i]) + p**3) / n_neg
+    cls_total = cls_term + neg_term
+    value = 20.0 * cls_total + 5.0 * l1_term + 2.0 * giou_term
+    return value, cls_total, grad_boxes, grad_logits, () if matches else ("no_positives",)
+
+
+def loss_2d_case(name, rng):
+    """Seeded predictions, logits, targets, matches and cls_targets for one case."""
+    tgt = rng.uniform(0.0, 300.0, size=(3, 2))
+    tgt = np.hstack([tgt, tgt + rng.uniform(20.0, 120.0, size=(3, 2))])
+    pred = np.vstack([tgt, tgt[:1]]) + rng.uniform(-8.0, 8.0, size=(4, 4))
+    logits = rng.normal(scale=2.0, size=4)
+    cls_targets = None
+    if name == "no_matches":
+        matches = []
+    elif name == "all_matched":
+        pred, logits = pred[:3], logits[:3]
+        matches = [(0, 0), (1, 1), (2, 2)]
+    elif name == "matched_twice":
+        matches = [(0, 0), (0, 1), (2, 2)]
+    elif name == "cls_targets":
+        matches = [(0, 0), (1, 1), (2, 2)]
+        cls_targets = list(rng.uniform(0.0, 1.0, size=3))
+    else:  # non_overlapping
+        pred[:3] += 1000.0
+        matches = [(0, 0), (1, 1), (2, 2)]
+    return pred, logits, tgt, matches, cls_targets
+
+
+class TestLoss2dEqualsParent:
+    """loss_2d's classification goes through conf_loss; the numbers stay those
+    of the inline arithmetic it replaced, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("name", ["no_matches", "all_matched", "matched_twice", "cls_targets", "non_overlapping"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_gradients_and_flags(self, name, seed):
+        pred, logits, tgt, matches, cls_targets = loss_2d_case(name, np.random.default_rng(seed))
+        rep = loss_2d(pred, logits, tgt, matches, (640, 480), cls_targets=cls_targets)
+        value, cls_total, grad_boxes, grad_logits, flags = parent_loss_2d(
+            pred, logits, tgt, matches, (640, 480), cls_targets
+        )
+        np.testing.assert_allclose(rep.terms["classification"], cls_total, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.value, value, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.gradient["boxes"], grad_boxes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(rep.gradient["logits"], grad_logits, rtol=1e-12, atol=0)
+        assert rep.flags == flags
+
+
+def parent_ray_gradient(pred_camera, gt_camera, resolution):
+    """camera_ray_mse's intrinsics gradient with the pixel grid rebuilt, as it
+    was computed before it read the grid off the ray directions."""
+    cols, rows = resolution
+    pred = ray_field(pred_camera, resolution).directions
+    diff = pred - ray_field(gt_camera, resolution).directions
+    u = (np.arange(cols) + 0.5) * (pred_camera.width / cols)
+    v = (np.arange(rows) + 0.5) * (pred_camera.height / rows)
+    uu, vv = np.meshgrid(u, v)
+    dx = (uu - pred_camera.cx) / pred_camera.fx
+    dy = (vv - pred_camera.cy) / pred_camera.fy
+    dnorm = np.linalg.norm(np.stack([dx, dy, np.ones_like(dx)], axis=-1), axis=-1)
+    w = diff * (2.0 / diff.size)
+    wr = np.sum(w * pred, axis=-1, keepdims=True)
+    g_d = (w - wr * pred) / dnorm[..., None]
+    return np.array(
+        [
+            float(np.sum(g_d[..., 0] * (-dx / pred_camera.fx))),
+            float(np.sum(g_d[..., 1] * (-dy / pred_camera.fy))),
+            float(np.sum(g_d[..., 0] * (-1.0 / pred_camera.fx))),
+            float(np.sum(g_d[..., 1] * (-1.0 / pred_camera.fy))),
+        ]
+    )
+
+
 class TestCameraRayMse:
     def test_identical_cameras(self):
         cam = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
@@ -411,9 +549,7 @@ class TestCameraRayMse:
         assert ALIGNMENT_GRID == 48
 
     def test_value_against_direct_mean(self):
-        from mono3dkit import ray_field
-
-        a = CameraModel(480.0, 505.0, 315.0, 248.0, 640, 480)
+        a =CameraModel(480.0, 505.0, 315.0, 248.0, 640, 480)
         b = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
         rep = camera_ray_mse(a, b, resolution=(16, 12))
         diff = ray_field(a, (16, 12)).directions - ray_field(b, (16, 12)).directions
@@ -436,6 +572,15 @@ class TestCameraRayMse:
         rep = camera_ray_mse(CameraModel(*x0, 640, 480), gt, resolution=(8, 6))
         num = fd_grad(f, x0, h=1e-4)
         assert_grad_close(rep.gradient, num, rtol=1e-5)
+
+    @pytest.mark.parametrize("resolution", [(8, 6), (16, 12), (48, 48), (640, 480)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradient_equals_grid_rebuild(self, resolution, seed):
+        rng = np.random.default_rng(seed)
+        gt = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
+        pred = CameraModel(*(np.array([500.0, 500.0, 320.0, 240.0]) + rng.uniform(-150.0, 150.0, 4)), 640, 480)
+        rep = camera_ray_mse(pred, gt, resolution=resolution)
+        np.testing.assert_allclose(rep.gradient, parent_ray_gradient(pred, gt, resolution), rtol=1e-12, atol=0)
 
 
 class TestAggregation:
