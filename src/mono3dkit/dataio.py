@@ -209,6 +209,14 @@ def _check(cond: bool, what: str):
         raise ValueError(what)
 
 
+def _check_strings(name: str, record, keys, nullable: bool = False):
+    """Each ``record.key`` is a string (or None when ``nullable``)."""
+    for key in keys:
+        value = getattr(record, key)
+        if not (isinstance(value, str) or (nullable and value is None)):
+            raise ValueError(f"{name}: {key} must be a string{' or null' if nullable else ''}, got {value!r}")
+
+
 def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
@@ -217,14 +225,18 @@ def validate_dataset(ds: DatasetFile):
     """Schema invariants; error messages name the offending record."""
     seen = set()
     for im in ds.images:
-        _check(im.id not in seen, f"image {im.id!r}: duplicate id")
+        name = f"image {im.id!r}"
+        _check_strings(name, im, ("id",))
+        _check_strings(name, im, ("depth_path", "source", "scene"), nullable=True)
+        _check(im.id not in seen, f"{name}: duplicate id")
         seen.add(im.id)
-        _check(im.width > 0 and im.height > 0, f"image {im.id!r}: non-positive size")
-        _check(_finite((im.fx, im.fy, im.cx, im.cy)), f"image {im.id!r}: non-finite intrinsics")
-        _check(im.fx > 0 and im.fy > 0, f"image {im.id!r}: non-positive focal length")
+        _check(im.width > 0 and im.height > 0, f"{name}: non-positive size")
+        _check(_finite((im.fx, im.fy, im.cx, im.cy)), f"{name}: non-finite intrinsics")
+        _check(im.fx > 0 and im.fy > 0, f"{name}: non-positive focal length")
     ann_seen = set()
     for a in ds.annotations:
         name = f"annotation {a.id!r}"
+        _check_strings(name, a, ("id", "image_id", "category"))
         _check(a.id not in ann_seen, f"{name}: duplicate id")
         ann_seen.add(a.id)
         _check(a.image_id in seen, f"{name}: references missing image {a.image_id!r}")
@@ -237,7 +249,7 @@ def validate_dataset(ds: DatasetFile):
             all(v is not None for v in three_d) or all(v is None for v in three_d),
             f"{name}: center, dims, quaternion must be present together",
         )
-        if a.quality is not None:
+        if a.quality is not None:  # every rating is a string
             _check(a.quality in QUALITY_RATINGS, f"{name}: unknown quality {a.quality!r}")
         _check(_finite(v for v in (a.s2d, a.s3d) if v is not None), f"{name}: non-finite s2d or s3d")
         if a.has_3d:

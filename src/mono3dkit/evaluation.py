@@ -157,6 +157,52 @@ def _dist_radius(gt: GroundTruth) -> float:
     return float(np.linalg.norm(gt.box3d.dims) / 2.0)
 
 
+def _criterion_table(dets, gts, mode):
+    """The pair criteria of one (image, category) group, computed once.
+
+    Returns (dets in visiting order, valid GTs, quality, qualifies, neutral):
+    ``quality[i, j]`` ranks valid GT j for detection i, higher better;
+    ``qualifies(t)`` masks the pairs that may match at threshold t;
+    ``neutral[i]`` says detection i covers an ignore GT.
+    """
+    dets = [d for _, d in sorted(enumerate(dets), key=lambda e: (-e[1].score, e[0]))]
+    valid = [g for g in gts if not g.ignore3d]
+    shape = (len(dets), len(valid))
+    pairs = [(d.box3d, g.box3d) for d in dets for g in valid]
+    if mode == "iou":
+        quality = np.array([iou3d(a, b) for a, b in pairs]).reshape(shape)
+
+        def qualifies(t):
+            return (quality >= t) & (quality > 0.0)
+    elif mode == "dist":
+        dist = np.array([float(np.linalg.norm(a.center - b.center)) for a, b in pairs]).reshape(shape)
+        radius = np.array([_dist_radius(g) for g in valid])
+        quality = -dist
+
+        def qualifies(t):
+            return dist < t * radius
+    else:
+        raise ValueError(f"unknown matching mode {mode!r}")
+    neutral = [any(iou2d(d.box2d, g.box2d) >= _IGNORE_IOU2D for g in gts if g.ignore3d) for d in dets]
+    return dets, valid, quality, qualifies, neutral
+
+
+def _assign(table, threshold: float):
+    """The greedy pass of :func:`match_group` over a criterion table."""
+    dets, valid, quality, qualifies, neutral = table
+    open_pairs = qualifies(threshold)
+    results = []
+    for i, det in enumerate(dets):
+        if open_pairs[i].any():
+            # Ties go to the lowest GT index: np.argmax returns the first maximum.
+            j = int(np.argmax(np.where(open_pairs[i], quality[i], -np.inf)))
+            open_pairs[:, j] = False
+            results.append((det, "tp", valid[j]))
+        else:
+            results.append((det, "neutral" if neutral[i] else "fp", None))
+    return results
+
+
 def match_group(dets, gts, threshold: float, mode: str):
     """Greedy matching inside one (image, category) group.
 
@@ -169,40 +215,7 @@ def match_group(dets, gts, threshold: float, mode: str):
     Returns a list of (det, kind, gt_or_None) with kind in
     {"tp", "fp", "neutral"}.
     """
-    if mode not in ("iou", "dist"):
-        raise ValueError(f"unknown matching mode {mode!r}")
-    valid = [g for g in gts if not g.ignore3d]
-    ignore = [g for g in gts if g.ignore3d]
-    taken = [False] * len(valid)
-    results = []
-    order = sorted(enumerate(dets), key=lambda e: (-e[1].score, e[0]))
-    for _, det in order:
-        best_j = -1
-        if mode == "iou":
-            best_val = 0.0
-            for j, gt in enumerate(valid):
-                if taken[j]:
-                    continue
-                overlap = iou3d(det.box3d, gt.box3d)
-                if overlap >= threshold and overlap > best_val:
-                    best_val = overlap
-                    best_j = j
-        else:
-            best_val = math.inf
-            for j, gt in enumerate(valid):
-                if taken[j]:
-                    continue
-                dist = float(np.linalg.norm(det.box3d.center - gt.box3d.center))
-                if dist < threshold * _dist_radius(gt) and dist < best_val:
-                    best_val = dist
-                    best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
-            results.append((det, "tp", valid[best_j]))
-            continue
-        neutral = any(iou2d(det.box2d, g.box2d) >= _IGNORE_IOU2D for g in ignore)
-        results.append((det, "neutral" if neutral else "fp", None))
-    return results
+    return _assign(_criterion_table(dets, gts, mode), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +259,28 @@ def average_precision(outcomes, n_gt: int) -> float:
     return ap / len(_RECALL_GRID)
 
 
-def _category_ap(dets_by_image, gts_by_image, thresholds, mode) -> float:
-    n_gt = sum(sum(not g.ignore3d for g in gts) for gts in gts_by_image.values())
-    if n_gt == 0:
-        raise ValueError("category has no valid ground truth")
-    aps = []
-    for t in thresholds:
-        outcomes = []
-        for image_id in sorted(set(dets_by_image) | set(gts_by_image)):
-            dets = dets_by_image.get(image_id, [])
-            gts = gts_by_image.get(image_id, [])
-            for rank, (det, kind, _) in enumerate(match_group(dets, gts, t, mode)):
-                outcomes.append((det.score, kind, (image_id, rank)))
-        aps.append(average_precision(outcomes, n_gt))
-    return float(np.mean(aps))
+def _ap_by_category(groups, thresholds, mode) -> dict:
+    """Sweep-averaged AP of every category that has a valid ground truth.
+
+    ``groups`` is the output of :func:`_group`. Each image's criterion
+    table is built once and thresholded at every sweep value.
+    """
+    out = {}
+    for c, images in groups.items():
+        n_gt = sum(not g.ignore3d for _, _, gts in images for g in gts)
+        if n_gt == 0:
+            continue
+        tables = [(image_id, _criterion_table(dets, gts, mode)) for image_id, dets, gts in images]
+        aps = []
+        for t in thresholds:
+            outcomes = [
+                (det.score, kind, (image_id, rank))
+                for image_id, table in tables
+                for rank, (det, kind, _) in enumerate(_assign(table, t))
+            ]
+            aps.append(average_precision(outcomes, n_gt))
+        out[c] = float(np.mean(aps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +373,25 @@ def frequency_split(image_counts: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _group(items, key):
+def _group(dets, gts) -> dict:
+    """category -> [(image id, dets, gts), ...], both keys sorted, lists in input order."""
+    lists: dict = {}
+    for k, items in enumerate((dets, gts)):
+        for item in items:
+            lists.setdefault((item.category, item.image_id), ([], []))[k].append(item)
     out: dict = {}
-    for item in items:
-        out.setdefault(key(item), []).append(item)
+    for (c, image_id), (image_dets, image_gts) in sorted(lists.items()):
+        out.setdefault(c, []).append((image_id, image_dets, image_gts))
     return out
 
 
 def _restrict_to_band(gts, band: str):
     """Valid ground truths outside the band become neutral zones."""
-    out = []
-    for g in gts:
-        if g.ignore3d or depth_band(float(g.box3d.center[2])) == band:
-            out.append(g)
-        else:
-            out.append(GroundTruth(g.image_id, g.category, g.box2d, None, True))
-    return out
+    return [
+        g if g.ignore3d or depth_band(float(g.box3d.center[2])) == band
+        else GroundTruth(g.image_id, g.category, g.box2d, None, True)
+        for g in gts
+    ]
 
 
 def evaluate(
@@ -393,19 +417,8 @@ def evaluate(
     thresholds = IOU_THRESHOLDS if mode == "iou" else DIST_THRESHOLDS
     dets = nms(detections, nms_iou, score_floor, max_per_image)
 
-    categories = sorted(
-        {g.category for g in ground_truths if not g.ignore3d}
-    )
-    per_category = {}
-    dets_by_cat = _group(dets, lambda d: d.category)
-    gts_by_cat = _group(ground_truths, lambda g: g.category)
-    for c in categories:
-        per_category[c] = _category_ap(
-            _group(dets_by_cat.get(c, []), lambda d: d.image_id),
-            _group(gts_by_cat.get(c, []), lambda g: g.image_id),
-            thresholds,
-            mode,
-        )
+    groups = _group(dets, ground_truths)
+    per_category = _ap_by_category(groups, thresholds, mode)
     flags = ()
     if per_category:
         overall = float(np.mean(list(per_category.values())))
@@ -415,38 +428,23 @@ def evaluate(
 
     ap_by_depth = {}
     for band in ("near", "medium", "far"):
-        banded = _restrict_to_band(ground_truths, band)
-        bcats = sorted({g.category for g in banded if not g.ignore3d})
-        if not bcats:
-            continue
-        bg = _group(banded, lambda g: g.category)
-        vals = [
-            _category_ap(
-                _group(dets_by_cat.get(c, []), lambda d: d.image_id),
-                _group(bg.get(c, []), lambda g: g.image_id),
-                thresholds,
-                mode,
-            )
-            for c in bcats
-        ]
-        ap_by_depth[band] = float(np.mean(vals))
+        banded = {c: [(i, d, _restrict_to_band(g, band)) for i, d, g in images] for c, images in groups.items()}
+        band_aps = _ap_by_category(banded, thresholds, mode)
+        if band_aps:
+            ap_by_depth[band] = float(np.mean(list(band_aps.values())))
 
-    image_counts = {
-        c: len({g.image_id for g in gts_by_cat.get(c, []) if not g.ignore3d}) for c in categories
-    }
+    image_counts = {c: sum(any(not g.ignore3d for g in gts) for _, _, gts in groups[c]) for c in per_category}
     split_of = frequency_split(image_counts)
     ap_by_frequency = {}
     for split in ("rare", "common", "frequent"):
-        vals = [per_category[c] for c in categories if split_of[c] == split]
+        vals = [ap for c, ap in per_category.items() if split_of[c] == split]
         if vals:
             ap_by_frequency[split] = float(np.mean(vals))
 
     match_log = []
-    for c in categories:
-        dbi = _group(dets_by_cat.get(c, []), lambda d: d.image_id)
-        gbi = _group(gts_by_cat.get(c, []), lambda g: g.image_id)
-        for image_id in sorted(set(dbi) | set(gbi)):
-            match_log.extend(match_group(dbi.get(image_id, []), gbi.get(image_id, []), 1.0, "dist"))
+    for c in per_category:
+        for _, image_dets, image_gts in groups[c]:
+            match_log.extend(match_group(image_dets, image_gts, 1.0, "dist"))
     mate, mase, maoe, err_flags = tp_errors(match_log, symmetric_categories)
     flags += err_flags
 

@@ -51,6 +51,8 @@ SIZE_TOLERANCE = {
 }
 
 _UPGRADE_GENERATORS = ("labelany3d", "sam3d", "ransac_pca")
+_OCCLUSION_MARGIN = 0.05  # meters the stored depth must undercut a surface point by
+_FACE_SAMPLES = 64  # surface points sampled per camera-facing face
 
 
 @dataclass(frozen=True)
@@ -142,15 +144,13 @@ def occlusion_ratio(
     box: Box3D,
     depth: np.ndarray,
     camera: CameraModel,
-    margin: float = 0.05,
-    samples_per_face: int = 64,
     seed: int = 0,
 ) -> float:
     """Fraction of camera-facing box surface hidden behind nearer scene depth.
 
     Points are sampled on the three faces whose outward normal points toward
     the camera, projected into the depth map, and counted as occluded when
-    the stored depth undercuts the point by more than ``margin`` meters.
+    the stored depth undercuts the point by more than 5 cm.
     Samples falling outside the image or on invalid (zero) depth are skipped.
     """
     rng = np.random.default_rng(seed)
@@ -164,7 +164,7 @@ def occlusion_ratio(
             face_center = box.center + normal * half[axis]
             if float(normal @ face_center) >= 0:
                 continue  # normal points away from the camera at origin
-            local = rng.uniform(-1.0, 1.0, size=(samples_per_face, 3)) * half
+            local = rng.uniform(-1.0, 1.0, size=(_FACE_SAMPLES, 3)) * half
             local[:, axis] = sign * half[axis]
             pts.append(local @ rot.T + box.center)
     if not pts:
@@ -184,7 +184,7 @@ def occlusion_ratio(
     valid = d > 0
     if not valid.any():
         return 0.0
-    occluded = d[valid] < zs[valid] - margin
+    occluded = d[valid] < zs[valid] - _OCCLUSION_MARGIN
     return float(np.count_nonzero(occluded) / np.count_nonzero(valid))
 
 

@@ -205,6 +205,11 @@ def _horizontal_basis(height_axis: np.ndarray):
     return u, v
 
 
+def _height_axis(gravity: np.ndarray) -> np.ndarray:
+    """The gravity line, pointed to positive y so default-gravity boxes are pure yaws."""
+    return -gravity if gravity[1] < 0 else gravity
+
+
 def _yaw_rotation(yaw: float, u: np.ndarray, v: np.ndarray, height_axis: np.ndarray) -> np.ndarray:
     """Rotation whose axes are (yaw direction in the u-v plane, height axis, their cross)."""
     a1 = math.cos(yaw) * u + math.sin(yaw) * v
@@ -278,20 +283,19 @@ def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.nd
 
 def fit_oriented_box(
     points,
-    gravity=DEFAULT_GRAVITY,
     seed: int = 0,
     min_height: float | None = None,
 ) -> Box3D:
     """Gravity-aligned oriented box around a point cloud.
 
-    The height axis follows gravity; the footprint (points projected along
-    gravity) passes RANSAC inlier rejection and a rotating-calipers
-    minimum-area rectangle; height spans the [1, 99] percentile band of the
-    vertical coordinate. The result's rotation is yaw-only about gravity.
+    The height axis follows ``DEFAULT_GRAVITY``; the footprint (points
+    projected along gravity) passes RANSAC inlier rejection and a
+    rotating-calipers minimum-area rectangle; height spans the [1, 99]
+    percentile band of the vertical coordinate. The result's rotation is
+    yaw-only about gravity.
 
     Args:
         points: (N, 3), N >= 10.
-        gravity: vertical axis; only its line matters.
         min_height: when the vertical span is zero, use this height instead
             of raising.
 
@@ -302,10 +306,7 @@ def fit_oriented_box(
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[0] < 10:
         raise ValueError("need at least 10 points to fit a box")
-    g = np.asarray(gravity, dtype=np.float64)
-    g = g / np.linalg.norm(g)
-    # Height axis with positive y so gravity-default boxes are pure yaws.
-    haxis = -g if g[1] < 0 else g
+    haxis = _height_axis(DEFAULT_GRAVITY)
     u, v = _horizontal_basis(haxis)
 
     hcoord = pts @ haxis
@@ -547,16 +548,15 @@ def adaptive_select(
 # ---------------------------------------------------------------------------
 
 
-def estimate_gravity(points, default=DEFAULT_GRAVITY) -> np.ndarray:
-    """Scene gravity from the dominant ground plane, else the default.
+def estimate_gravity(points) -> np.ndarray:
+    """Scene gravity from the dominant ground plane, else ``DEFAULT_GRAVITY``.
 
     Takes the lowest quarter of the scene (largest y; y points down), fits a
     plane by PCA, and accepts its normal when within 15 degrees of the
     default vertical; otherwise returns the default.
     """
     pts = np.asarray(points, dtype=np.float64)
-    d = np.asarray(default, dtype=np.float64)
-    d = d / np.linalg.norm(d)
+    d = DEFAULT_GRAVITY.copy()
     if pts.shape[0] < 10:
         return d
     y = pts[:, 1]
@@ -578,7 +578,6 @@ def correct_rotation(
     scene_points,
     box2d: Box2D,
     camera: CameraModel,
-    default_gravity=DEFAULT_GRAVITY,
 ) -> Box3D:
     """Re-align the box to gravity and pick the best-projecting yaw.
 
@@ -587,8 +586,7 @@ def correct_rotation(
     yaw is kept when it already achieves the grid minimum, so an aligned,
     perfectly projecting box is a fixed point.
     """
-    g = estimate_gravity(scene_points, default=default_gravity)
-    haxis = -g if g[1] < 0 else g
+    haxis = _height_axis(estimate_gravity(scene_points))
     u, v = _horizontal_basis(haxis)
 
     def box_at(yaw: float) -> Box3D:
@@ -625,7 +623,6 @@ def lift_annotation(
     camera: CameraModel,
     grid_size: int = 5,
     seed: int = 0,
-    gravity=DEFAULT_GRAVITY,
 ) -> LiftCandidate:
     """Run the full lifting pipeline for one annotated object.
 
@@ -639,7 +636,7 @@ def lift_annotation(
     cluster = largest_cluster(cleaned)
     n_clustered = cluster.shape[0]
 
-    fitted = fit_oriented_box(cluster, gravity=gravity, seed=seed)
+    fitted = fit_oriented_box(cluster, seed=seed)
     # Anchors come from the full cleaned cloud, not the dominant cluster:
     # sparse but real surface points (grazing-angle faces) are what pin the
     # translation along the viewing ray.
@@ -649,7 +646,7 @@ def lift_annotation(
     result = optimize_translation(fitted, a_pts, a_w, box2d, camera, grid_size)
     fallback = scale_depth_to_box2d(fitted, box2d, camera)
     selected, branch = adaptive_select(result.box, fallback, box2d, camera)
-    corrected = correct_rotation(selected, cloud.points, box2d, camera, default_gravity=gravity)
+    corrected = correct_rotation(selected, cloud.points, box2d, camera)
 
     losses = {
         "inclusion": inclusion_loss(corrected, a_pts, a_w),

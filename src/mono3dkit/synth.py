@@ -21,6 +21,14 @@ from .geometry import Box3D, iou2d, iou3d, yaw_to_matrix, matrix_to_quat
 
 __all__ = ["SynthSpec", "SynthScene", "synth_scene", "ray_box_depths"]
 
+_LATERAL_FRACTION = 0.62  # of the half field of view at the box depth
+# Yaw is sampled relative to the viewing bearing inside this band (degrees)
+# so every box shows two vertical faces; a single visible face projects
+# to a line footprint that no rectangle fit can recover.
+_YAW_OFFSET_RANGE = (25.0, 65.0)
+_MARGIN_PX = 8.0  # projected silhouettes stay this far inside the image
+_MAX_BOX2D_IOU = 0.3  # largest 2D IoU between two placed boxes' projections
+
 
 @dataclass
 class SynthSpec:
@@ -34,7 +42,6 @@ class SynthSpec:
     # without foreshortening.
     height_range: tuple[float, float] | None = (0.14, 0.24)
     depth_range: tuple[float, float] = (1.5, 2.2)
-    lateral_fraction: float = 0.62
     # Camera height above the ground plane. Keeping depth below about
     # 2.3x the box-top clearance keeps top faces densely sampled, which
     # the cluster and footprint stages need. The tabletop scale matters
@@ -43,14 +50,8 @@ class SynthSpec:
     # depth times the relative extent deficit, so small boxes seen close
     # up at high resolution keep that slide inside a few centimetres.
     floor_y: float | None = 1.2
-    # Yaw is sampled relative to the viewing bearing inside this band so
-    # every box shows two vertical faces; a single visible face projects
-    # to a line footprint that no rectangle fit can recover.
-    yaw_offset_range: tuple[float, float] = (25.0, 65.0)
     noise_sigma: float = 0.0
     categories: tuple = ("block",)
-    margin_px: float = 8.0
-    max_box2d_iou: float | None = 0.3
     max_rejections: int = 20_000
 
     def __post_init__(self):
@@ -117,33 +118,31 @@ def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) 
         dims[1] = rng.uniform(*spec.height_range)
     z = rng.uniform(*spec.depth_range)
     tan_x = (camera.width / 2.0) / camera.fx
-    x = rng.uniform(-1.0, 1.0) * spec.lateral_fraction * z * tan_x
+    x = rng.uniform(-1.0, 1.0) * _LATERAL_FRACTION * z * tan_x
     if spec.floor_y is not None:
         y = spec.floor_y - dims[1] / 2.0
     else:
         tan_y = (camera.height / 2.0) / camera.fy
         y = rng.uniform(0.25, 0.7) * z * tan_y
     bearing = math.atan2(x, z)
-    lo, hi = spec.yaw_offset_range
+    lo, hi = _YAW_OFFSET_RANGE
     yaw = (bearing + math.radians(rng.uniform(lo, hi))) % math.pi
     return Box3D(np.array([x, y, z]), dims, matrix_to_quat(yaw_to_matrix(yaw)))
 
 
-def _acceptable(box: Box3D, placed, spec: SynthSpec, camera: CameraModel) -> bool:
+def _acceptable(box: Box3D, placed, camera: CameraModel) -> bool:
     if box.corners()[:, 2].min() <= 0.5:
         return False
     aabb = projected_box2d(box, camera)
-    m = spec.margin_px
-    if aabb.x1 < m or aabb.x2 > camera.width - m:
+    if aabb.x1 < _MARGIN_PX or aabb.x2 > camera.width - _MARGIN_PX:
         return False
-    if aabb.y1 < m or aabb.y2 > camera.height - m:
+    if aabb.y1 < _MARGIN_PX or aabb.y2 > camera.height - _MARGIN_PX:
         return False
     for other in placed:
         if iou3d(box, other) > 0.0:
             return False
-        if spec.max_box2d_iou is not None:
-            if iou2d(aabb, projected_box2d(other, camera)) > spec.max_box2d_iou:
-                return False
+        if iou2d(aabb, projected_box2d(other, camera)) > _MAX_BOX2D_IOU:
+            return False
     return True
 
 
@@ -163,7 +162,7 @@ def synth_scene(
     rejections = 0
     while len(boxes) < spec.n_boxes:
         box = _sample_box(spec, camera, rng)
-        if _acceptable(box, boxes, spec, camera):
+        if _acceptable(box, boxes, camera):
             boxes.append(box)
         else:
             rejections += 1

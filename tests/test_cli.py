@@ -490,36 +490,61 @@ def case_instance_map_shape(tmp_path):
     return argv, str(tmp_path / "masks" / "im0.wd3i")
 
 
-def edit_first_annotation(path, **fields):
+def edit_first(path, section, **fields):
+    """Overwrite fields of the first record in ``section`` of a dataset file."""
     doc = json.loads(open(path).read())
-    doc["annotations"][0].update(fields)
+    doc[section][0].update(fields)
     with open(path, "w") as f:
         json.dump(doc, f)
 
 
 def case_nan_gt_center(tmp_path):
     gt, pred = eval_pair(tmp_path)
-    edit_first_annotation(gt, center=[float("nan"), 0.0, 5.0])
+    edit_first(gt, "annotations", center=[float("nan"), 0.0, 5.0])
     return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0'"
 
 
 def case_sample_three_value_box2d(tmp_path):
     gt, _ = eval_pair(tmp_path)
-    edit_first_annotation(gt, box2d=[100.0, 100.0, 200.0])
+    edit_first(gt, "annotations", box2d=[100.0, 100.0, 200.0])
     return ["sample", gt], "annotation 'a0'"
 
 
 def case_sample_nan_center(tmp_path):
     gt, _ = eval_pair(tmp_path)
-    edit_first_annotation(gt, center=[0.0, float("nan"), 5.0])
+    edit_first(gt, "annotations", center=[0.0, float("nan"), 5.0])
     return ["sample", gt], "annotation 'a0'"
 
 
 def case_lift_nan_center(tmp_path):
     argv = small_lift_inputs(tmp_path)
     nan_3d = dict(center=[0.0, 0.0, float("nan")], dims=[1.0, 1.0, 1.0], quaternion=[1.0, 0.0, 0.0, 0.0])
-    edit_first_annotation(argv[1], ignore3d=False, **nan_3d)
+    edit_first(argv[1], "annotations", ignore3d=False, **nan_3d)
     return argv, "annotation 'a0'"
+
+
+def case_lift_integer_annotation_id(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", id=5)
+    return argv, "annotation 5: id must be a string"
+
+
+def case_sample_integer_category(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first(gt, "annotations", category=7)
+    return ["sample", gt], "annotation 'a0': category must be a string"
+
+
+def case_lift_integer_depth_path(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "images", depth_path=3)
+    return argv, "image 'im0': depth_path must be a string or null"
+
+
+def case_sample_list_source(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first(gt, "images", source=["x"])
+    return ["sample", gt], "image 'im0': source must be a string or null"
 
 
 def case_symmetric_categories_not_text(tmp_path):
@@ -582,6 +607,10 @@ BAD_INPUT_CASES = [
     case_sample_three_value_box2d,
     case_sample_nan_center,
     case_lift_nan_center,
+    case_lift_integer_annotation_id,
+    case_sample_integer_category,
+    case_lift_integer_depth_path,
+    case_sample_list_source,
     case_symmetric_categories_not_text,
     case_flag("--grid-size", "4"),
     case_flag("--grid-size", "0"),

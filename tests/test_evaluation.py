@@ -1,5 +1,6 @@
 """Matching, average precision, error metrics, and the composite score."""
 
+import collections
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from mono3dkit import (
     ods,
     tp_errors,
 )
+from mono3dkit import evaluation
 from mono3dkit.evaluation import DIST_THRESHOLDS, IOU_THRESHOLDS
+from mono3dkit.geometry import iou2d, iou3d
 
 
 def yaw_quat(yaw):
@@ -144,6 +147,133 @@ class TestMatchGroup:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             match_group([], [], 0.5, "chamfer")
+
+
+def parent_match_group(dets, gts, threshold, mode):
+    """match_group as it was before the criterion table: one greedy loop per
+    mode, the pair criterion computed inside the loop."""
+    if mode not in ("iou", "dist"):
+        raise ValueError(f"unknown matching mode {mode!r}")
+    valid = [g for g in gts if not g.ignore3d]
+    ignore = [g for g in gts if g.ignore3d]
+    taken = [False] * len(valid)
+    results = []
+    order = sorted(enumerate(dets), key=lambda e: (-e[1].score, e[0]))
+    for _, det in order:
+        best_j = -1
+        if mode == "iou":
+            best_val = 0.0
+            for j, gt in enumerate(valid):
+                if taken[j]:
+                    continue
+                overlap = iou3d(det.box3d, gt.box3d)
+                if overlap >= threshold and overlap > best_val:
+                    best_val = overlap
+                    best_j = j
+        else:
+            best_val = math.inf
+            for j, gt in enumerate(valid):
+                if taken[j]:
+                    continue
+                dist = float(np.linalg.norm(det.box3d.center - gt.box3d.center))
+                if dist < threshold * float(np.linalg.norm(gt.box3d.dims) / 2.0) and dist < best_val:
+                    best_val = dist
+                    best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+            results.append((det, "tp", valid[best_j]))
+            continue
+        neutral = any(iou2d(det.box2d, g.box2d) >= 0.5 for g in ignore)
+        results.append((det, "neutral" if neutral else "fp", None))
+    return results
+
+
+CENTERS = [(0, 0, 5), (0.5, 0, 5), (1.0, 0, 5), (0.25, 0, 5.25), (6, 0, 5)]
+DIMS = [(1, 1, 1), (2, 1, 1), (1, 1.5, 1)]
+BOXES_2D = [(100, 100, 200, 200), (105, 100, 205, 200), (400, 100, 500, 200)]
+
+
+def seeded_group(seed):
+    """One (image, category) group drawn from a few boxes, so exact ties in
+    IoU, distance and score are common."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    gts = [
+        make_gt(center=pick(CENTERS), dims=pick(DIMS), yaw=pick((0.0, 0.4)), box2d=pick(BOXES_2D),
+                ignore=bool(rng.random() < 0.25))
+        for _ in range(int(rng.integers(0, 6)))
+    ]
+    dets = [
+        make_det(center=np.add(pick(CENTERS), rng.normal(0.0, 0.2, 3) * (rng.random() < 0.5)),
+                 dims=pick(DIMS), yaw=pick((0.0, 0.4)), box2d=pick(BOXES_2D), s2d=pick((0.3, 0.6, 0.9)))
+        for _ in range(int(rng.integers(0, 7)))
+    ]
+    return dets, gts
+
+
+NAMED_GROUPS = {
+    # Two identical GTs and two identical detections: IoUs and distances tie.
+    "tied_gts": ([make_det(), make_det()], [make_gt(), make_gt()]),
+    # IoU exactly 0 and 0.5, distance exactly 0 against the wide GT.
+    "zero_and_half_iou": ([make_det(center=(6, 0, 5)), make_det(s2d=0.5)], [make_gt(dims=(2, 1, 1))]),
+    "no_gt": ([make_det(), make_det(center=(1, 0, 5))], []),
+    "no_dets": ([], [make_gt(), make_gt(ignore=True)]),
+    "ignore_only": ([make_det(), make_det(box2d=(400, 100, 500, 200))], [make_gt(ignore=True)]),
+}
+
+
+def identities(matches, dets, gts):
+    def index(seq, item):
+        return next(k for k, x in enumerate(seq) if x is item)
+
+    return [(index(dets, d), kind, None if g is None else index(gts, g)) for d, kind, g in matches]
+
+
+class TestMatchGroupEqualsParent:
+    """The criterion table plus one greedy loop assigns exactly as the two
+    per-mode loops it replaced, ties included."""
+
+    @pytest.mark.parametrize("mode", ["iou", "dist"])
+    @pytest.mark.parametrize("group", [*NAMED_GROUPS, *(f"seed{s}" for s in range(40))])
+    def test_same_assignment(self, group, mode):
+        dets, gts = NAMED_GROUPS[group] if group in NAMED_GROUPS else seeded_group(int(group[4:]))
+        for t in (0.0, 0.05, 0.25, 0.5, 1.0):
+            got = identities(match_group(dets, gts, t, mode), dets, gts)
+            assert got == identities(parent_match_group(dets, gts, t, mode), dets, gts), t
+
+    def test_each_pair_evaluated_once_per_pass(self, monkeypatch):
+        dets, gts = [], []
+        for image in ("im0", "im1", "im2"):
+            for j, z in enumerate((5.0, 20.0, 50.0)):  # one GT per depth band
+                gts.append(make_gt(image=image, center=(0, 0, z), box2d=(200 * j, 0, 200 * j + 100, 100)))
+                dets.append(make_det(image=image, center=(0.2, 0, z), box2d=(200 * j, 0, 200 * j + 100, 100)))
+                dets.append(make_det(image=image, center=(0, 0, z + 0.3), box2d=(200 * j, 200, 200 * j + 100, 300)))
+            gts.append(make_gt(image=image, box2d=(700, 0, 800, 100), ignore=True))
+        calls = []
+        ap_by_category = evaluation._ap_by_category
+
+        def counting_iou3d(a, b):
+            calls[-1][(id(a), id(b))] += 1
+            return iou3d(a, b)
+
+        def one_pass(*args):
+            calls.append(collections.Counter())
+            return ap_by_category(*args)
+
+        monkeypatch.setattr(evaluation, "iou3d", counting_iou3d)
+        monkeypatch.setattr(evaluation, "_ap_by_category", one_pass)
+        evaluate(dets, gts, mode="iou")
+        assert len(calls) == 4  # overall AP, then the near, medium and far bands
+        pairs = {
+            (id(d.box3d), id(g.box3d)) for d in nms(dets) for g in gts
+            if d.image_id == g.image_id and not g.ignore3d
+        }
+        assert len(pairs) == 54 and set(calls[0]) == pairs
+        assert sum(len(c) for c in calls[1:]) == len(pairs)
+        assert all(n == 1 for c in calls for n in c.values())
 
 
 def brute_force_ap(kinds_by_rank, n_gt):
