@@ -10,7 +10,16 @@ file formats, and a synthetic scene generator that closes the loop for
 testing. The ``mono3dkit`` command exposes the main workflows.
 """
 
-from .camera import CameraModel, RayField, backproject, project, projected_box2d, ray_directions, ray_field
+from .camera import (
+    CameraModel,
+    RayField,
+    backproject,
+    project,
+    projected_box2d,
+    projected_extents,
+    ray_directions,
+    ray_field,
+)
 from .codec import (
     BoxEncoding12,
     confidence_target,
@@ -50,6 +59,7 @@ from .geometry import (
     Box3D,
     box_corners,
     giou2d,
+    giou2d_rows,
     iou2d,
     iou3d,
     iou3d_monte_carlo,

@@ -14,7 +14,16 @@ import numpy as np
 
 from .geometry import Box2D, Box3D
 
-__all__ = ["CameraModel", "RayField", "project", "projected_box2d", "backproject", "ray_directions", "ray_field"]
+__all__ = [
+    "CameraModel",
+    "RayField",
+    "project",
+    "projected_extents",
+    "projected_box2d",
+    "backproject",
+    "ray_directions",
+    "ray_field",
+]
 
 _MIN_DEPTH = 1e-9
 
@@ -84,10 +93,26 @@ def project(camera: CameraModel, points) -> np.ndarray:
     return np.stack([u, v], axis=-1)
 
 
+def projected_extents(camera: CameraModel, corners) -> np.ndarray:
+    """Axis-aligned pixel box around each projected point set.
+
+    Args:
+        camera: intrinsics.
+        corners: (..., K, 3) camera-space point sets, e.g. box corners.
+
+    Returns:
+        (..., 4) corner-form extents (x1, y1, x2, y2).
+
+    Raises:
+        ValueError: as :func:`project`.
+    """
+    px = project(camera, corners)
+    return np.concatenate([px.min(axis=-2), px.max(axis=-2)], axis=-1)
+
+
 def projected_box2d(box: Box3D, camera: CameraModel) -> Box2D:
-    """Axis-aligned pixel box around the projected 3D corners (see :func:`project`)."""
-    px = project(camera, box.corners())
-    return Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
+    """Axis-aligned pixel box around the projected 3D corners (see :func:`projected_extents`)."""
+    return Box2D.from_array(projected_extents(camera, box.corners()))
 
 
 def backproject(camera: CameraModel, pixels, depth) -> np.ndarray:

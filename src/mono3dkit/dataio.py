@@ -252,6 +252,11 @@ def validate_dataset(ds: DatasetFile):
         if a.quality is not None:  # every rating is a string
             _check(a.quality in QUALITY_RATINGS, f"{name}: unknown quality {a.quality!r}")
         _check(_finite(v for v in (a.s2d, a.s3d) if v is not None), f"{name}: non-finite s2d or s3d")
+        if a.instance is not None:  # a nonzero value of the uint16 instance map
+            _check(
+                isinstance(a.instance, int) and not isinstance(a.instance, bool) and 1 <= a.instance <= 65535,
+                f"{name}: instance must be an integer in 1..65535, got {a.instance!r}",
+            )
         if a.has_3d:
             _check(len(a.center) == 3 and len(a.dims) == 3 and len(a.quaternion) == 4, f"{name}: bad 3D field shapes")
             _check(_finite((*a.center, *a.dims, *a.quaternion)), f"{name}: non-finite center, dims or quaternion")
@@ -310,41 +315,68 @@ def write_dataset(ds: DatasetFile, path: str):
     atomic_write_text(path, canonical_json(doc))
 
 
+def _name_bad_number(record: str, obj: dict, fields):
+    """Raise ValueError naming the record and the first field whose value its
+    conversion rejects; ``fields`` holds (key, convert, value) triples. Returns
+    when every value converts."""
+    for key, convert, value in fields:
+        try:
+            convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{record} {obj['id']!r}: {key} must be numeric, got {value!r}") from None
+
+
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
 def _parse_image(obj: dict) -> ImageRecord:
     intr = obj["intrinsics"]
-    return ImageRecord(
-        id=obj["id"],
-        width=int(obj["width"]),
-        height=int(obj["height"]),
-        fx=float(intr["fx"]),
-        fy=float(intr["fy"]),
-        cx=float(intr["cx"]),
-        cy=float(intr["cy"]),
-        depth_path=obj.get("depth_path"),
-        source=obj.get("source"),
-        scene=obj.get("scene"),
-    )
+    try:
+        return ImageRecord(
+            id=obj["id"],
+            width=int(obj["width"]),
+            height=int(obj["height"]),
+            fx=float(intr["fx"]),
+            fy=float(intr["fy"]),
+            cx=float(intr["cx"]),
+            cy=float(intr["cy"]),
+            depth_path=obj.get("depth_path"),
+            source=obj.get("source"),
+            scene=obj.get("scene"),
+        )
+    except (TypeError, ValueError):
+        fields = [(key, int, obj[key]) for key in ("width", "height")]
+        fields += [(f"intrinsics.{key}", float, intr[key]) for key in ("fx", "fy", "cx", "cy")]
+        _name_bad_number("image", obj, fields)
+        raise
 
 
 def _parse_annotation(obj: dict) -> AnnotationRecord:
-    def triple(key):
+    def optional(key, convert):
         v = obj.get(key)
-        return tuple(float(x) for x in v) if v is not None else None
+        return convert(v) if v is not None else None
 
-    return AnnotationRecord(
-        id=obj["id"],
-        image_id=obj["image_id"],
-        category=obj["category"],
-        box2d=tuple(float(v) for v in obj["box2d"]),
-        center=triple("center"),
-        dims=triple("dims"),
-        quaternion=triple("quaternion"),
-        ignore3d=bool(obj["ignore3d"]),
-        quality=obj.get("quality"),
-        s2d=float(obj["s2d"]) if obj.get("s2d") is not None else None,
-        s3d=float(obj["s3d"]) if obj.get("s3d") is not None else None,
-        instance=int(obj["instance"]) if obj.get("instance") is not None else None,
-    )
+    try:
+        return AnnotationRecord(
+            id=obj["id"],
+            image_id=obj["image_id"],
+            category=obj["category"],
+            box2d=_floats(obj["box2d"]),
+            center=optional("center", _floats),
+            dims=optional("dims", _floats),
+            quaternion=optional("quaternion", _floats),
+            ignore3d=bool(obj["ignore3d"]),
+            quality=obj.get("quality"),
+            s2d=optional("s2d", float),
+            s3d=optional("s3d", float),
+            instance=obj.get("instance"),  # checked, not converted, by validate_dataset
+        )
+    except (TypeError, ValueError):
+        numbers = [(key, _floats) for key in ("box2d", "center", "dims", "quaternion")] + [("s2d", float), ("s3d", float)]
+        fields = [(key, convert, obj[key]) for key, convert in numbers if obj.get(key) is not None]
+        _name_bad_number("annotation", obj, fields)
+        raise
 
 
 def _read_document(path: str, fmt: str) -> dict:

@@ -37,6 +37,7 @@ __all__ = [
     "intersection_volume",
     "iou2d",
     "giou2d",
+    "giou2d_rows",
 ]
 
 # Half-extent sign pattern for the 8 corners. Index bit layout: corners 0-3
@@ -507,15 +508,22 @@ def iou2d(a: Box2D, b: Box2D) -> float:
 
 def giou2d(a: Box2D, b: Box2D) -> float:
     """Generalized IoU of two axis-aligned 2D boxes, in (-1, 1]."""
-    iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    return float(giou2d_rows(a.as_array(), b.as_array()))
+
+
+def giou2d_rows(a, b) -> np.ndarray:
+    """:func:`giou2d` of corner-form rows (x1, y1, x2, y2); ``a`` and ``b`` broadcast over (..., 4)."""
+    ax1, ay1, ax2, ay2 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    bx1, by1, bx2, by2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    iw = np.maximum(0.0, np.minimum(ax2, bx2) - np.maximum(ax1, bx1))
+    ih = np.maximum(0.0, np.minimum(ay2, by2) - np.maximum(ay1, by1))
     inter = iw * ih
-    union = a.area + b.area - inter
-    hw = max(a.x2, b.x2) - min(a.x1, b.x1)
-    hh = max(a.y2, b.y2) - min(a.y1, b.y1)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    hw = np.maximum(ax2, bx2) - np.minimum(ax1, bx1)
+    hh = np.maximum(ay2, by2) - np.minimum(ay1, by1)
     hull = hw * hh
-    if hull <= 0:
-        # Both boxes degenerate to overlapping points/segments.
-        return 1.0 if union == inter else 0.0
-    iou = inter / union if union > 0 else 0.0
-    return float(iou - (hull - union) / hull)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        iou = np.where(union > 0, inter / union, 0.0)
+        giou = iou - (hull - union) / hull
+    # A zero hull means both boxes degenerate to overlapping points/segments.
+    return np.where(hull > 0, giou, np.where(union == inter, 1.0, 0.0))

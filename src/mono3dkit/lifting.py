@@ -23,8 +23,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .camera import CameraModel, projected_box2d
-from .geometry import Box2D, Box3D, giou2d, iou2d, matrix_to_quat
+from .camera import CameraModel, projected_box2d, projected_extents
+from .geometry import Box2D, Box3D, box_corners, giou2d_rows, iou2d, matrix_to_quat
 
 __all__ = [
     "DEFAULT_GRAVITY",
@@ -249,6 +249,16 @@ def _min_area_rectangle(fp: np.ndarray):
     return theta, center, extents
 
 
+def _rectangle_frame(fp: np.ndarray, c: float, s: float) -> np.ndarray:
+    """Footprint coordinates along the rectangle axes at angle (cos, sin), as contiguous rows (2, n)."""
+    return np.ascontiguousarray((fp @ np.array([[c, -s], [s, c]])).T)
+
+
+def _outside(q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per-axis distance (2, n) of each point of ``q`` (2, n) outside the extent [lo, hi]."""
+    return np.maximum(np.maximum(lo[:, None] - q, q - hi[:, None]), 0.0)
+
+
 def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Inlier mask of the best rectangle hypothesis over the footprint.
 
@@ -257,28 +267,34 @@ def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.nd
     within ``_INLIER_THRESHOLD`` of the rectangle region. Best hypothesis by count,
     ties by smaller area. Degenerate samples are skipped; if nothing usable
     comes up, all points are inliers.
+
+    All sample pairs are drawn up front (degenerate ones consume their draw
+    too). Per hypothesis one percentile call finds both extents of both
+    axes; points inside the rectangle count directly and only the few
+    outside it need a distance. The mask is built once, for the winner.
     """
     n = fp.shape[0]
+    pairs = [rng.choice(n, size=2, replace=False) for _ in range(_RANSAC_ITERATIONS)]
     best = None
-    for _ in range(_RANSAC_ITERATIONS):
-        i, j = rng.choice(n, size=2, replace=False)
+    for i, j in pairs:
         d = fp[j] - fp[i]
         nd = float(np.linalg.norm(d))
         if nd < 1e-12:
             continue
         c, s = d[0] / nd, d[1] / nd
-        q = fp @ np.array([[c, -s], [s, c]])
-        lo = np.percentile(q, 0.5, axis=0)
-        hi = np.percentile(q, 99.5, axis=0)
-        outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
-        dist = np.hypot(outside[:, 0], outside[:, 1])
-        mask = dist <= _INLIER_THRESHOLD
-        key = (int(np.count_nonzero(mask)), -float((hi - lo).prod()))
+        q = _rectangle_frame(fp, c, s)
+        lo, hi = np.percentile(q, [0.5, 99.5], axis=1)
+        outside = _outside(q, lo, hi)
+        off = outside.any(axis=0)
+        near = np.hypot(outside[0, off], outside[1, off]) <= _INLIER_THRESHOLD
+        key = (n - int(np.count_nonzero(off)) + int(np.count_nonzero(near)), -float((hi - lo).prod()))
         if best is None or key > best[0]:
-            best = (key, mask)
+            best = (key, c, s, lo, hi)
     if best is None:
         return np.ones(n, dtype=bool)
-    return best[1]
+    _, c, s, lo, hi = best
+    outside = _outside(_rectangle_frame(fp, c, s), lo, hi)
+    return np.hypot(outside[0], outside[1]) <= _INLIER_THRESHOLD
 
 
 def fit_oriented_box(
@@ -373,18 +389,49 @@ def sample_anchors(points, weights, count: int = _ANCHOR_COUNT, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+# Each loss is a kernel over m box placements that share dims and rotation:
+# ``local`` holds the anchors in each placement's box frame, (m, A, 3), and
+# ``corners`` each placement's corners, (m, 8, 3). The public losses are the
+# one-placement case; the translation search evaluates many centers at once.
+
+
+def _anchor_frames(centers: np.ndarray, rotation: np.ndarray, anchor_points) -> np.ndarray:
+    """Anchors in the frame of the box placed at each center row: (m, A, 3)."""
+    return (np.asarray(anchor_points, dtype=np.float64) - centers[:, None, :]) @ rotation
+
+
+def _inclusion(local: np.ndarray, weights, half: np.ndarray, buffer: float = _INCLUSION_BUFFER) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    over = np.maximum(np.abs(local) - (half + buffer), 0.0)
+    dist = np.linalg.norm(over, axis=-1)
+    return np.sum(w * dist, axis=-1) / np.sum(w)
+
+
+def _tightness(local: np.ndarray, half: np.ndarray, buffer: float = _TIGHTNESS_BUFFER) -> np.ndarray:
+    total = 0.0
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            nearest = np.min(np.abs(local[..., axis] - sign * half[axis]), axis=-1)
+            total = total + np.maximum(0.0, nearest - buffer)
+    return total / 6.0
+
+
+def _projection(corners: np.ndarray, box2d: Box2D, camera: CameraModel) -> np.ndarray:
+    """1 - GIoU per placement; placements reaching behind the camera get the penalty, unprojected."""
+    front = corners[:, :, 2].min(axis=1) > 1e-6
+    out = np.full(corners.shape[0], _BEHIND_CAMERA_PENALTY)
+    out[front] = 1.0 - giou2d_rows(projected_extents(camera, corners[front]), box2d.as_array())
+    return out
+
+
 def inclusion_loss(box: Box3D, anchor_points, weights, buffer: float = _INCLUSION_BUFFER) -> float:
     """Weighted mean distance of anchors outside the buffered box.
 
     Zero iff every anchor lies inside the box grown by ``buffer`` on each
     face; strictly positive otherwise.
     """
-    pts = np.asarray(anchor_points, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    local = (pts - box.center) @ box.rotation
-    over = np.maximum(np.abs(local) - (box.dims / 2.0 + buffer), 0.0)
-    dist = np.linalg.norm(over, axis=1)
-    return float(np.sum(w * dist) / np.sum(w))
+    local = _anchor_frames(box.center[None], box.rotation, anchor_points)
+    return float(_inclusion(local, weights, box.dims / 2.0, buffer)[0])
 
 
 def tightness_loss(box: Box3D, anchor_points, buffer: float = _TIGHTNESS_BUFFER) -> float:
@@ -393,15 +440,8 @@ def tightness_loss(box: Box3D, anchor_points, buffer: float = _TIGHTNESS_BUFFER)
     Zero when every one of the six face planes has an anchor within
     ``buffer``; grows as faces drift away from the cloud.
     """
-    pts = np.asarray(anchor_points, dtype=np.float64)
-    local = (pts - box.center) @ box.rotation
-    half = box.dims / 2.0
-    total = 0.0
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            nearest = float(np.min(np.abs(local[:, axis] - sign * half[axis])))
-            total += max(0.0, nearest - buffer)
-    return total / 6.0
+    local = _anchor_frames(box.center[None], box.rotation, anchor_points)
+    return float(_tightness(local, box.dims / 2.0, buffer)[0])
 
 
 def projection_loss(box: Box3D, box2d: Box2D, camera: CameraModel) -> float:
@@ -409,19 +449,22 @@ def projection_loss(box: Box3D, box2d: Box2D, camera: CameraModel) -> float:
 
     Boxes reaching behind the camera get a large constant penalty.
     """
-    corners = box.corners()
-    if corners[:, 2].min() <= 1e-6:
-        return _BEHIND_CAMERA_PENALTY
-    return 1.0 - giou2d(projected_box2d(box, camera), box2d)
+    return float(_projection(box.corners()[None], box2d, camera)[0])
 
 
 def _translation_objective(box: Box3D, anchor_points, weights, box2d, camera):
-    def objective(center: np.ndarray) -> float:
-        moved = Box3D(center, box.dims, box.quaternion)
+    """The weighted loss sum with ``box`` moved to each row of centers (m, 3), as (m,)."""
+    # A moved Box3D re-normalises the quaternion; every placement shares that rotation.
+    rotation = Box3D(box.center, box.dims, box.quaternion).rotation
+    half = box.dims / 2.0
+
+    def objective(centers: np.ndarray) -> np.ndarray:
+        local = _anchor_frames(centers, rotation, anchor_points)
+        corners = box_corners(centers[:, None, :], box.dims, rotation)
         return (
-            _LAMBDA_INCLUSION * inclusion_loss(moved, anchor_points, weights)
-            + _LAMBDA_TIGHTNESS * tightness_loss(moved, anchor_points)
-            + _LAMBDA_PROJECTION * projection_loss(moved, box2d, camera)
+            _LAMBDA_INCLUSION * _inclusion(local, weights, half)
+            + _LAMBDA_TIGHTNESS * _tightness(local, half)
+            + _LAMBDA_PROJECTION * _projection(corners, box2d, camera)
         )
 
     return objective
@@ -445,10 +488,13 @@ def optimize_translation(
 
     Stage 1 evaluates the anchor/projection objective on a grid_size^3
     lattice spanning the box dims around the center (the center itself is a
-    lattice point). Stage 2 polishes the best lattice point with bounded
-    L-BFGS-B (central-difference gradients, step 1e-4) inside the same
-    window. If polishing fails to improve, the lattice best is returned with
-    a flag; the final loss never exceeds the lattice best.
+    lattice point), all lattice points in one batched call; the first
+    lattice point with the smallest loss wins. Stage 2 polishes it with
+    bounded L-BFGS-B inside the same window; each step is one batched call
+    on the point and its six central-difference neighbours (step 1e-4),
+    giving the loss and its gradient together. If polishing fails to
+    improve, the lattice best is returned with a flag; the final loss never
+    exceeds the lattice best.
     """
     check_grid_size(grid_size)
     objective = _translation_objective(candidate, anchor_points, weights, box2d, camera)
@@ -456,34 +502,27 @@ def optimize_translation(
     half_window = candidate.dims / 2.0
 
     axes = [np.linspace(-hw, hw, grid_size) for hw in half_window]
-    n_evals = 0
-    best_center = None
-    best_val = math.inf
-    for off in itertools.product(*axes):
-        c = origin + np.asarray(off)
-        val = objective(c)
-        n_evals += 1
-        if val < best_val:
-            best_val = val
-            best_center = c
-    grid_loss = best_val
+    lattice = origin + np.array(list(itertools.product(*axes)))
+    grid_values = objective(lattice)
+    best = int(np.argmin(grid_values))
+    best_center = lattice[best]
+    grid_loss = float(grid_values[best])
 
     bounds = [(origin[k] - half_window[k], origin[k] + half_window[k]) for k in range(3)]
+    steps = np.zeros((7, 3))
+    steps[1::2] = _FD_STEP * np.eye(3)
+    steps[2::2] = -_FD_STEP * np.eye(3)
 
-    def jac(center: np.ndarray) -> np.ndarray:
-        g = np.zeros(3)
-        for k in range(3):
-            step = np.zeros(3)
-            step[k] = _FD_STEP
-            g[k] = (objective(center + step) - objective(center - step)) / (2 * _FD_STEP)
-        return g
+    def value_and_gradient(center: np.ndarray):
+        f = objective(center + steps)
+        return float(f[0]), (f[1::2] - f[2::2]) / (2 * _FD_STEP)
 
     flags = ()
     try:
         res = minimize(
-            objective,
+            value_and_gradient,
             best_center,
-            jac=jac,
+            jac=True,
             method="L-BFGS-B",
             bounds=bounds,
             options={"maxiter": _MAX_ITERATIONS, "ftol": _F_TOL},
@@ -501,7 +540,7 @@ def optimize_translation(
         box=final,
         loss=refined_val,
         grid_loss=grid_loss,
-        n_grid_evaluations=n_evals,
+        n_grid_evaluations=len(lattice),
         flags=flags,
     )
 
@@ -582,24 +621,25 @@ def correct_rotation(
     """Re-align the box to gravity and pick the best-projecting yaw.
 
     Gravity comes from :func:`estimate_gravity` over the scene points. Yaw
-    is searched exhaustively on a 1-degree grid over [0, 180); the box's own
+    is searched exhaustively on a 1-degree grid over [0, 180): the 180
+    candidate boxes are projected and scored in one batch, and the first
+    yaw that beats the best so far by more than 1e-15 wins. The box's own
     yaw is kept when it already achieves the grid minimum, so an aligned,
     perfectly projecting box is a fixed point.
     """
     haxis = _height_axis(estimate_gravity(scene_points))
     u, v = _horizontal_basis(haxis)
-
-    def box_at(yaw: float) -> Box3D:
-        return Box3D(box.center, box.dims, matrix_to_quat(_yaw_rotation(yaw, u, v, haxis)))
-
-    best_yaw = None
+    candidates = [
+        Box3D(box.center, box.dims, matrix_to_quat(_yaw_rotation(math.radians(deg), u, v, haxis)))
+        for deg in range(180)
+    ]
+    values = _projection(np.stack([c.corners() for c in candidates]), box2d, camera)
+    best = None
     best_val = math.inf
-    for deg in range(180):
-        yaw = math.radians(deg)
-        val = projection_loss(box_at(yaw), box2d, camera)
+    for k, val in enumerate(values.tolist()):
         if val < best_val - 1e-15:
             best_val = val
-            best_yaw = yaw
+            best = k
 
     # Keep the current orientation when it is already gravity-aligned and
     # no grid yaw beats it.
@@ -608,7 +648,7 @@ def correct_rotation(
         current_val = projection_loss(box, box2d, camera)
         if current_val <= best_val + 1e-12:
             return box
-    return box_at(best_yaw)
+    return candidates[best]
 
 
 # ---------------------------------------------------------------------------

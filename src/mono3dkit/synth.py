@@ -17,7 +17,7 @@ import numpy as np
 
 from .camera import CameraModel, projected_box2d
 from .dataio import AnnotationRecord, ImageRecord
-from .geometry import Box3D, iou2d, iou3d, yaw_to_matrix, matrix_to_quat
+from .geometry import Box2D, Box3D, iou2d, iou3d, yaw_to_matrix, matrix_to_quat
 
 __all__ = ["SynthSpec", "SynthScene", "synth_scene", "ray_box_depths"]
 
@@ -28,6 +28,9 @@ _LATERAL_FRACTION = 0.62  # of the half field of view at the box depth
 _YAW_OFFSET_RANGE = (25.0, 65.0)
 _MARGIN_PX = 8.0  # projected silhouettes stay this far inside the image
 _MAX_BOX2D_IOU = 0.3  # largest 2D IoU between two placed boxes' projections
+# Share of the larger box's longest side by which two boxes must be apart,
+# or overlap, for _boxes_overlap to decide without exact clipping.
+_OVERLAP_MARGIN = 1e-3
 
 
 @dataclass
@@ -130,6 +133,31 @@ def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) 
     return Box3D(np.array([x, y, z]), dims, matrix_to_quat(yaw_to_matrix(yaw)))
 
 
+def _boxes_overlap(a: Box3D, b: Box3D) -> bool:
+    """``iou3d(a, b) > 0``, decided without clipping when the answer is clear.
+
+    Clearly apart: along a face normal of either box, the boxes' extents
+    leave a gap wider than the margin, so exact clipping leaves nothing.
+    Clearly overlapping: a point on the segment between the centers lies
+    inside both boxes with the margin to spare, so they share a ball of
+    that radius. Pairs in between go to :func:`iou3d`.
+    """
+    margin = _OVERLAP_MARGIN * max(a.dims.max(), b.dims.max())
+    ra, rb = a.rotation, b.rotation
+    ha, hb = a.dims / 2.0, b.dims / 2.0
+    offset = b.center - a.center
+    axes = np.vstack([ra.T, rb.T])
+    gap = np.abs(axes @ offset) - np.abs(axes @ ra) @ ha - np.abs(axes @ rb) @ hb
+    if gap.max() > margin:
+        return False
+    probes = np.linspace(0.0, 1.0, 9)[:, None] * offset  # relative to a's center
+    clear_a = np.min(ha - np.abs(probes @ ra), axis=1)
+    clear_b = np.min(hb - np.abs((probes - offset) @ rb), axis=1)
+    if np.minimum(clear_a, clear_b).max() > margin:
+        return True
+    return iou3d(a, b) > 0.0
+
+
 def _acceptable(box: Box3D, placed, camera: CameraModel) -> bool:
     if box.corners()[:, 2].min() <= 0.5:
         return False
@@ -139,11 +167,18 @@ def _acceptable(box: Box3D, placed, camera: CameraModel) -> bool:
     if aabb.y1 < _MARGIN_PX or aabb.y2 > camera.height - _MARGIN_PX:
         return False
     for other in placed:
-        if iou3d(box, other) > 0.0:
+        if _boxes_overlap(box, other):
             return False
         if iou2d(aabb, projected_box2d(other, camera)) > _MAX_BOX2D_IOU:
             return False
     return True
+
+
+def _pixel_window(aabb: Box2D, width: int, height: int) -> tuple:
+    """Row and column slices covering every pixel whose center lies within 1 px of ``aabb``, clipped to the image."""
+    cols = slice(max(math.floor(aabb.x1) - 1, 0), min(math.ceil(aabb.x2) + 1, width))
+    rows = slice(max(math.floor(aabb.y1) - 1, 0), min(math.ceil(aabb.y2) + 1, height))
+    return rows, cols
 
 
 def synth_scene(
@@ -176,10 +211,14 @@ def synth_scene(
     depth = np.full((h, w), np.inf)
     owner = np.full((h, w), -1, dtype=np.int64)
     for k, box in enumerate(boxes):
-        t = ray_box_depths(dx, dy, box)
-        closer = t < depth
-        depth[closer] = t[closer]
-        owner[closer] = k
+        # Boxes lie in front of the camera (see _acceptable), so a ray that
+        # hits one passes through its projected box; outside that window,
+        # padded by a pixel, every ray misses and keeps its depth.
+        window = _pixel_window(projected_box2d(box, camera), w, h)
+        t = ray_box_depths(dx[window], dy[window], box)
+        closer = t < depth[window]
+        depth[window][closer] = t[closer]
+        owner[window][closer] = k
     if spec.floor_y is not None:
         with np.errstate(divide="ignore"):
             t_floor = np.where(dy > 1e-9, spec.floor_y / dy, np.inf)

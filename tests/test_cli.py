@@ -547,6 +547,60 @@ def case_sample_list_source(tmp_path):
     return ["sample", gt], "image 'im0': source must be a string or null"
 
 
+def case_lift_text_instance(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", instance="x")
+    return argv, "annotation 'a0': instance must be an integer in 1..65535"
+
+
+def case_lift_fractional_instance(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", instance=1.7)
+    return argv, "annotation 'a0': instance must be an integer in 1..65535, got 1.7"
+
+
+def case_lift_negative_instance(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", instance=-3)
+    return argv, "annotation 'a0': instance must be an integer in 1..65535, got -3"
+
+
+def case_lift_boolean_instance(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", instance=True)
+    return argv, "annotation 'a0': instance must be an integer in 1..65535, got True"
+
+
+def case_lift_instance_beyond_uint16(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "annotations", instance=65536)
+    return argv, "annotation 'a0': instance must be an integer in 1..65535, got 65536"
+
+
+def case_sample_text_in_box2d(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first(gt, "annotations", box2d=["a", 1, 2, 3])
+    return ["sample", gt], "annotation 'a0': box2d must be numeric"
+
+
+def case_eval_text_s2d(tmp_path):
+    gt, pred = eval_pair(tmp_path)
+    edit_first(pred, "annotations", s2d="high")
+    return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0': s2d must be numeric, got 'high'"
+
+
+def case_sample_text_width(tmp_path):
+    gt, _ = eval_pair(tmp_path)
+    edit_first(gt, "images", width="wide")
+    return ["sample", gt], "image 'im0': width must be numeric, got 'wide'"
+
+
+def case_lift_text_focal_length(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "images", intrinsics={"fx": "f", "fy": 50.0, "cx": 32.0, "cy": 24.0})
+    return argv, "image 'im0': intrinsics.fx must be numeric, got 'f'"
+
+
 def case_symmetric_categories_not_text(tmp_path):
     gt, pred = eval_pair(tmp_path)
     sym = tmp_path / "sym.txt"
@@ -611,6 +665,15 @@ BAD_INPUT_CASES = [
     case_sample_integer_category,
     case_lift_integer_depth_path,
     case_sample_list_source,
+    case_lift_text_instance,
+    case_lift_fractional_instance,
+    case_lift_negative_instance,
+    case_lift_boolean_instance,
+    case_lift_instance_beyond_uint16,
+    case_sample_text_in_box2d,
+    case_eval_text_s2d,
+    case_sample_text_width,
+    case_lift_text_focal_length,
     case_symmetric_categories_not_text,
     case_flag("--grid-size", "4"),
     case_flag("--grid-size", "0"),

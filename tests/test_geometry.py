@@ -11,6 +11,7 @@ from mono3dkit import (
     Box3D,
     box_corners,
     giou2d,
+    giou2d_rows,
     iou2d,
     iou3d,
     iou3d_monte_carlo,
@@ -135,6 +136,25 @@ class TestIoU2D:
         b = Box2D(30, 0, 40, 10)
         # iou 0, enclosing 40x10, union 200: giou = -(400-200)/400
         assert np.isclose(giou2d(a, b), -0.5)
+
+    def test_giou_of_degenerate_boxes(self):
+        point = Box2D(3, 4, 3, 4)
+        assert giou2d(point, point) == 1.0
+        # Collinear segments enclose no area either.
+        assert giou2d(Box2D(0, 2, 5, 2), Box2D(1, 2, 7, 2)) == 1.0
+        # No overlap, union 4, hull 3 x 4.
+        assert giou2d(point, Box2D(0, 0, 2, 2)) == 0.0 - (12.0 - 4.0) / 12.0
+
+    def test_giou_rows_equal_pairwise(self):
+        rng = np.random.default_rng(8)
+        lo = rng.uniform(-5, 5, size=(200, 2))
+        a = np.hstack([lo, lo + rng.uniform(0, 3, size=(200, 2)) * (rng.random((200, 1)) > 0.1)])
+        b = np.array([0.5, -1.0, 2.5, 1.0])
+        rows = giou2d_rows(a, b)
+        assert rows.shape == (200,)
+        assert rows.tolist() == [giou2d(Box2D.from_array(r), Box2D.from_array(b)) for r in a]
+        first = Box2D.from_array(a[0])
+        assert giou2d_rows(np.vstack([a[:1], a[:1]]), a[:1]).tolist() == [giou2d(first, first)] * 2
 
     def test_giou_bounds(self):
         rng = np.random.default_rng(7)

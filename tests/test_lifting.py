@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mono3dkit import lifting
 from mono3dkit import (
     Box2D,
     Box3D,
@@ -21,11 +22,13 @@ from mono3dkit import (
     inclusion_loss,
     largest_cluster,
     lift_annotation,
+    matrix_to_quat,
     optimize_translation,
     project,
     projected_box2d,
     projection_loss,
     quat_to_matrix,
+    random_quaternion,
     remove_outliers,
     sample_anchors,
     scale_depth_to_box2d,
@@ -566,3 +569,231 @@ class TestLiftAnnotation:
         assert np.array_equal(a.box.center, b.box.center)
         assert np.array_equal(a.box.dims, b.box.dims)
         assert np.array_equal(a.box.quaternion, b.box.quaternion)
+
+
+
+# ---------------------------------------------------------------------------
+# Batched kernels against the one-at-a-time evaluation they replace
+# ---------------------------------------------------------------------------
+#
+# The references below score one box placement, one RANSAC hypothesis or
+# one yaw at a time, as the lifting stages did before they were batched.
+# The batched kernels must reproduce them bit for bit.
+
+
+def reference_giou(a: Box2D, b: Box2D) -> float:
+    iw = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+    ih = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+    inter = iw * ih
+    union = a.area + b.area - inter
+    hull = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
+    if hull <= 0:
+        return 1.0 if union == inter else 0.0
+    iou = inter / union if union > 0 else 0.0
+    return float(iou - (hull - union) / hull)
+
+
+def reference_projection(box, box2d, camera):
+    corners = box.corners()
+    if corners[:, 2].min() <= 1e-6:
+        return 1e6
+    px = project(camera, corners)
+    proj = Box2D(float(px[:, 0].min()), float(px[:, 1].min()), float(px[:, 0].max()), float(px[:, 1].max()))
+    return 1.0 - reference_giou(proj, box2d)
+
+
+def reference_terms(box, anchors, weights, box2d, camera):
+    """(inclusion, tightness, projection) losses of one box."""
+    local = (anchors - box.center) @ box.rotation
+    half = box.dims / 2.0
+    over = np.maximum(np.abs(local) - (half + 0.02), 0.0)
+    inclusion = float(np.sum(weights * np.linalg.norm(over, axis=1)) / np.sum(weights))
+    tightness = 0.0
+    for axis in range(3):
+        for sign in (1.0, -1.0):
+            tightness += max(0.0, float(np.min(np.abs(local[:, axis] - sign * half[axis]))) - 0.1)
+    return inclusion, tightness / 6.0, reference_projection(box, box2d, camera)
+
+
+def reference_objective(box, anchors, weights, box2d, camera, center):
+    """The weighted loss sum of ``box`` moved to ``center``."""
+    moved = Box3D(center, box.dims, box.quaternion)
+    inclusion, tightness, projection = reference_terms(moved, anchors, weights, box2d, camera)
+    return 1.0 * inclusion + 0.5 * tightness + 0.5 * projection
+
+
+def reference_optimize_translation(box, anchors, weights, box2d, camera):
+    """optimize_translation's lattice scan and polish with one objective call per center."""
+    from scipy.optimize import minimize
+
+    def objective(center):
+        return reference_objective(box, anchors, weights, box2d, camera, center)
+
+    axes = [np.linspace(-h, h, 5) for h in box.dims / 2.0]
+    best_center, best_val = None, math.inf
+    for x in axes[0]:
+        for y in axes[1]:
+            for z in axes[2]:
+                c = box.center + np.array([x, y, z])
+                val = objective(c)
+                if val < best_val:
+                    best_center, best_val = c, val
+
+    def jac(center):
+        g = np.zeros(3)
+        for k in range(3):
+            step = np.zeros(3)
+            step[k] = 1e-4
+            g[k] = (objective(center + step) - objective(center - step)) / 2e-4
+        return g
+
+    bounds = [(box.center[k] - box.dims[k] / 2.0, box.center[k] + box.dims[k] / 2.0) for k in range(3)]
+    options = {"maxiter": 100, "ftol": 1e-6}
+    res = minimize(objective, best_center, jac=jac, method="L-BFGS-B", bounds=bounds, options=options)
+    if float(res.fun) > best_val:
+        return best_center, best_val, best_val
+    return res.x, float(res.fun), best_val
+
+
+def reference_ransac(fp, rng):
+    """Inlier mask of the best rectangle hypothesis, one hypothesis at a time."""
+    n = fp.shape[0]
+    best = None
+    for _ in range(200):
+        i, j = rng.choice(n, size=2, replace=False)
+        d = fp[j] - fp[i]
+        nd = float(np.linalg.norm(d))
+        if nd < 1e-12:
+            continue
+        c, s = d[0] / nd, d[1] / nd
+        q = fp @ np.array([[c, -s], [s, c]])
+        lo = np.percentile(q, 0.5, axis=0)
+        hi = np.percentile(q, 99.5, axis=0)
+        outside = np.maximum(np.maximum(lo - q, q - hi), 0.0)
+        mask = np.hypot(outside[:, 0], outside[:, 1]) <= 0.05
+        key = (int(np.count_nonzero(mask)), -float((hi - lo).prod()))
+        if best is None or key > best[0]:
+            best = (key, mask)
+    return np.ones(n, dtype=bool) if best is None else best[1]
+
+
+def reference_correct_rotation(box, scene_points, box2d, camera):
+    """correct_rotation with its 180 yaws scored one at a time."""
+    haxis = lifting._height_axis(estimate_gravity(scene_points))
+    u, v = lifting._horizontal_basis(haxis)
+
+    def box_at(yaw):
+        return Box3D(box.center, box.dims, matrix_to_quat(lifting._yaw_rotation(yaw, u, v, haxis)))
+
+    best_yaw, best_val = None, math.inf
+    for deg in range(180):
+        yaw = math.radians(deg)
+        val = reference_projection(box_at(yaw), box2d, camera)
+        if val < best_val - 1e-15:
+            best_val, best_yaw = val, yaw
+    if abs(float(box.rotation[:, 1] @ haxis)) >= 1.0 - 1e-9:
+        if reference_projection(box, box2d, camera) <= best_val + 1e-12:
+            return box
+    return box_at(best_yaw)
+
+
+class TestBatchedKernelsEqualOneAtATime:
+    def problem(self, seed):
+        rng = np.random.default_rng(seed)
+        center = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.5), rng.uniform(2.0, 4.0)])
+        dims = rng.uniform(0.3, 1.2, size=3)
+        # Odd seeds take a general rotation whose matrix changes in the last
+        # bits when a moved Box3D re-normalises the quaternion.
+        quat = yaw_quat(rng.uniform(0.0, math.pi))
+        while seed % 2:
+            quat = Box3D(center, dims, random_quaternion(rng)).quaternion
+            if not np.array_equal(quat_to_matrix(quat), Box3D(center, dims, quat).rotation):
+                break
+        pts = cube_cloud(center, dims, yaw=rng.uniform(0.0, math.pi), n=3000, seed=seed)
+        a_pts, a_w = sample_anchors(pts, anchor_weights(pts), 256, seed=seed)
+        box = Box3D(center + rng.uniform(-0.2, 0.2, 3), dims * rng.uniform(0.8, 1.2, 3), quat)
+        box2d = projected_box2d(Box3D(center, dims, quat), CAM)
+        return box, a_pts, a_w, box2d
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_objective_equals_sum_of_scalar_losses(self, seed):
+        box, a_pts, a_w, box2d = self.problem(seed)
+        rng = np.random.default_rng(100 + seed)
+        axes = [np.linspace(-h, h, 5) for h in box.dims / 2.0]
+        grid = box.center + np.array([[x, y, z] for x in axes[0] for y in axes[1] for z in axes[2]])
+        scattered = box.center + rng.uniform(-1.0, 1.0, size=(40, 3)) * box.dims
+        # Centers that put some or all corners behind the camera.
+        behind = np.column_stack([rng.uniform(-1, 1, 10), rng.uniform(-1, 1, 10), rng.uniform(-3.0, 0.3, 10)])
+        # Nearest corner just past, and just short of, the camera's 1e-6 m cut-off.
+        nearest = (box.corners() - box.center)[:, 2].min()
+        grazing = box.center + np.outer([5e-4, 2e-6, 5e-7], [0.0, 0.0, 1.0]) - [0.0, 0.0, box.center[2] + nearest]
+        centers = np.vstack([grid, scattered, behind, grazing])
+        batched = lifting._translation_objective(box, a_pts, a_w, box2d, CAM)(centers)
+        expected = [reference_objective(box, a_pts, a_w, box2d, CAM, c) for c in centers]
+        assert batched.tolist() == expected
+        assert np.count_nonzero(batched >= 0.5e6) >= 11  # weighted penalty rows
+        assert (batched[-3:] < 0.5e6).tolist() == [True, True, False]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_translation_search_equals_one_center_at_a_time(self, seed):
+        box, a_pts, a_w, box2d = self.problem(seed)
+        res = optimize_translation(box, a_pts, a_w, box2d, CAM)
+        center, loss, grid_loss = reference_optimize_translation(box, a_pts, a_w, box2d, CAM)
+        assert np.array_equal(res.box.center, center)
+        assert (res.loss, res.grid_loss) == (loss, grid_loss)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_public_losses_equal_scalar_references(self, seed):
+        box, a_pts, a_w, box2d = self.problem(seed)
+        got = (inclusion_loss(box, a_pts, a_w), tightness_loss(box, a_pts), projection_loss(box, box2d, CAM))
+        assert got == reference_terms(box, a_pts, a_w, box2d, CAM)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ransac_mask_equals_one_hypothesis_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 3000))
+        fp = rng.normal(size=(n, 2)) * rng.uniform(0.2, 2.0, 2)
+        fp = fp @ np.array([[math.cos(seed), -math.sin(seed)], [math.sin(seed), math.cos(seed)]])
+        # Duplicate points: pairs drawn from them are degenerate and skipped.
+        dup = rng.integers(0, n, size=n // 3)
+        fp[dup[: len(dup) // 2]] = fp[dup[len(dup) // 2 :][: len(dup) // 2]]
+        fp[rng.integers(0, n, size=5)] += rng.normal(scale=5.0, size=(5, 2))
+        got = lifting._ransac_rectangle_inliers(fp, np.random.default_rng(seed))
+        assert np.array_equal(got, reference_ransac(fp, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ransac_degenerate_draws_keep_the_stream(self, seed):
+        # Ten distinct points ten times each: about one draw in eleven is a degenerate pair.
+        rng = np.random.default_rng(seed)
+        fp = np.repeat(rng.normal(size=(10, 2)) * [2.0, 0.5], 10, axis=0)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = lifting._ransac_rectangle_inliers(fp, rng_got)
+        assert np.array_equal(got, reference_ransac(fp, rng_want))
+        assert rng_got.random() == rng_want.random()  # the same draws were consumed
+
+    def test_ransac_all_degenerate_pairs(self):
+        fp = np.tile([[0.3, -0.2]], (12, 1))
+        got = lifting._ransac_rectangle_inliers(fp, np.random.default_rng(0))
+        assert got.all() and np.array_equal(got, reference_ransac(fp, np.random.default_rng(0)))
+
+    def test_lattice_ties_go_to_the_first_point(self, monkeypatch):
+        box, a_pts, a_w, box2d = self.problem(0)
+        monkeypatch.setattr(lifting, "_translation_objective", lambda *args: lambda centers: np.zeros(len(centers)))
+        res = optimize_translation(box, a_pts, a_w, box2d, CAM)
+        assert np.array_equal(res.box.center, box.center - box.dims / 2.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_yaw_search_equals_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        floor = TestGravityAndRotation().floor_points(tilt_deg=[0.0, 3.0][seed % 2], seed=seed)
+        dims = rng.uniform(0.3, 1.5, 3)
+        if seed >= 4:  # a square footprint scores yaw and yaw + 90 degrees alike
+            dims[2] = dims[0]
+        ref = Box3D([rng.uniform(-1, 1), rng.uniform(0, 1), rng.uniform(3, 8)], dims, yaw_quat(rng.uniform(0, math.pi)))
+        start = Box3D(ref.center, ref.dims, yaw_quat(rng.uniform(0, math.pi)))
+        box2d = projected_box2d(ref, CAM)
+        for box in (start, ref):
+            got = correct_rotation(box, floor, box2d, CAM)
+            want = reference_correct_rotation(box, floor, box2d, CAM)
+            assert np.array_equal(got.quaternion, want.quaternion)
+            assert np.array_equal(got.center, want.center)

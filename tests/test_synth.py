@@ -17,7 +17,8 @@ from mono3dkit import (
 )
 from mono3dkit.camera import project
 from mono3dkit.dataio import validate_dataset
-from mono3dkit.geometry import matrix_to_quat, yaw_to_matrix
+from mono3dkit import synth
+from mono3dkit.geometry import matrix_to_quat, random_quaternion, yaw_to_matrix
 from mono3dkit.synth import ray_box_depths
 
 CAM = CameraModel(600.0, 600.0, 640.0, 480.0, 1280, 960)
@@ -271,3 +272,99 @@ class TestSynthScene:
         tiny = CameraModel(450.0, 450.0, 80.0, 60.0, 160, 120)
         with pytest.raises(ValueError, match="placement failed"):
             synth_scene(SynthSpec(n_boxes=30, max_rejections=100), tiny, seed=0)
+
+
+def full_frame_render(boxes, spec, camera):
+    """Depth and instance map with every box ray-cast over the whole image."""
+    u = (np.arange(camera.width) + 0.5 - camera.cx) / camera.fx
+    v = (np.arange(camera.height) + 0.5 - camera.cy) / camera.fy
+    dx, dy = np.meshgrid(u, v)
+    depth = np.full(dx.shape, np.inf)
+    owner = np.full(dx.shape, -1)
+    for k, box in enumerate(boxes):
+        t = ray_box_depths(dx, dy, box)
+        closer = t < depth
+        depth[closer] = t[closer]
+        owner[closer] = k
+    if spec.floor_y is not None:
+        with np.errstate(divide="ignore"):
+            t_floor = np.where(dy > 1e-9, spec.floor_y / dy, np.inf)
+        closer = t_floor < depth
+        depth[closer] = t_floor[closer]
+        owner[closer] = -2
+    instance_map = np.zeros(dx.shape, dtype=np.uint16)
+    for k in range(len(boxes)):
+        instance_map[owner == k] = k + 1
+    return np.where(np.isfinite(depth), depth, 0.0), instance_map
+
+
+class TestWindowedRender:
+    """synth_scene ray-casts each box only inside its padded projected box."""
+
+    SMALL = CameraModel(300.0, 300.0, 160.0, 120.0, 320, 240)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_full_frame_render(self, seed):
+        spec = SynthSpec(n_boxes=3)
+        sc = synth_scene(spec, CAM, seed=seed)
+        depth, instance_map = full_frame_render(sc.boxes, spec, CAM)
+        assert np.array_equal(sc.depth, depth)
+        assert np.array_equal(sc.instance_map, instance_map)
+
+    def test_boxes_cut_by_the_image_border(self, monkeypatch):
+        # Without the margin, and with boxes allowed 40 px past the border,
+        # windows are clipped to the image on every side some scene reaches.
+        monkeypatch.setattr(synth, "_MARGIN_PX", -40.0)
+        reached = set()
+        for seed in range(12):
+            spec = SynthSpec(n_boxes=2, floor_y=None, depth_range=(1.0, 1.4))
+            sc = synth_scene(spec, self.SMALL, seed=seed)
+            depth, instance_map = full_frame_render(sc.boxes, spec, self.SMALL)
+            assert np.array_equal(sc.depth, depth)
+            assert np.array_equal(sc.instance_map, instance_map)
+            for box in sc.boxes:
+                px = project(self.SMALL, box.corners())
+                beyond = (px[:, 0].min() < 0, px[:, 0].max() > 320, px[:, 1].min() < 0, px[:, 1].max() > 240)
+                reached |= {side for side, out in zip("lrtb", beyond) if out}
+        assert reached >= {"l", "r", "b"}
+
+
+def random_yaw_box(rng, floor_y=None):
+    dims = rng.uniform(0.2, 0.6, size=3)
+    y = floor_y - dims[1] / 2.0 if floor_y is not None else rng.uniform(-0.3, 0.3)
+    center = np.array([rng.uniform(-0.6, 0.6), y, rng.uniform(1.5, 2.5)])
+    return Box3D(center, dims, yaw_quat(rng.uniform(0.0, math.pi)))
+
+
+class TestBoxesOverlap:
+    """The placement test's overlap decision equals exact ``iou3d > 0``."""
+
+    def decide(self, a, b, monkeypatch):
+        exact = []
+        monkeypatch.setattr(synth, "iou3d", lambda p, q: exact.append(1) or iou3d(p, q))
+        return synth._boxes_overlap(a, b), bool(exact)
+
+    def test_random_pairs(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        decided = {True: 0, False: 0}
+        for k in range(400):
+            floor = 1.2 if k % 2 else None
+            a, b = random_yaw_box(rng, floor), random_yaw_box(rng, floor)
+            if k % 5 == 0:  # general rotations too
+                b = Box3D(b.center, b.dims, random_quaternion(rng))
+            got, exact = self.decide(a, b, monkeypatch)
+            assert got == (iou3d(a, b) > 0.0)
+            if not exact:
+                decided[got] += 1
+        assert decided[True] > 20 and decided[False] > 20
+
+    @pytest.mark.parametrize("gap", [-0.01, -1e-4, -1e-7, 0.0, 1e-7, 1e-4, 0.01])
+    def test_near_contact_goes_to_exact_clipping(self, gap, monkeypatch):
+        a = aa_box([0.0, 0.0, 2.0], [0.4, 0.3, 0.5])
+        b = aa_box([0.4 + gap, 0.05, 2.1], [0.4, 0.3, 0.5])
+        got, exact = self.decide(a, b, monkeypatch)
+        assert got == (iou3d(a, b) > 0.0)
+        # The margin is 1e-3 of the longest side, 0.5 m.
+        assert exact == (abs(gap) < 5e-4)
+        if not exact:
+            assert got == (gap < 0)
