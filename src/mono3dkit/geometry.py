@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = [
     "Box2D",
@@ -56,18 +57,6 @@ CORNER_SIGNS = 0.5 * np.array(
     dtype=np.float64,
 )
 
-# Box faces as corner-index quads, wound counter-clockwise seen from outside
-# (outward normals). Order: -z, +z, -y, +y, -x, +x.
-BOX_FACES = (
-    (0, 3, 2, 1),
-    (4, 5, 6, 7),
-    (0, 1, 5, 4),
-    (3, 7, 6, 2),
-    (0, 4, 7, 3),
-    (1, 2, 6, 5),
-)
-
-_PLANE_EPS = 1e-12
 _DEGENERATE_VOLUME = 1e-12
 
 
@@ -322,104 +311,57 @@ def normalize_box_rotation(dims, quaternion) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Exact 3D IoU by half-space clipping
+# Exact 3D IoU: convex hull of the vertices of the intersection
 # ---------------------------------------------------------------------------
 
+# The 12 box edges as corner-index pairs: corners that differ in one sign.
+_EDGES = np.array(
+    [(i, j) for i in range(8) for j in range(i + 1, 8) if np.count_nonzero(CORNER_SIGNS[i] != CORNER_SIGNS[j]) == 1]
+)
 
-def _clip_face(face: np.ndarray, signed: np.ndarray, crossings: list) -> np.ndarray | None:
-    """Clip one polygon to signed <= 0, collecting plane-crossing points."""
-    n = len(face)
-    out = []
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = signed[i], signed[j]
-        inside_i = di <= _PLANE_EPS
-        inside_j = dj <= _PLANE_EPS
-        if inside_i:
-            out.append(face[i])
-        if inside_i != inside_j:
-            t = di / (di - dj)
-            p = face[i] + t * (face[j] - face[i])
-            out.append(p)
-            crossings.append(p)
-    if len(out) < 3:
-        return None
-    return np.asarray(out)
+# Inside tests allow this fraction of the longer box side.
+_INSIDE_TOL = 1e-9
 
 
-def _cap_polygon(crossings: list, normal: np.ndarray) -> np.ndarray | None:
-    """Order plane-crossing points into a convex cap wound with +normal."""
-    pts = np.asarray(crossings)
-    # Deduplicate; clipping visits each cap edge endpoint from two faces.
-    keep = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) < 1e-9 for q in keep):
-            keep.append(p)
-    if len(keep) < 3:
-        return None
-    pts = np.asarray(keep)
-    centroid = pts.mean(axis=0)
-    # In-plane basis (b1, b2) with b1 x b2 = normal, so CCW angle order in
-    # (b1, b2) coordinates winds the cap with outward normal +normal.
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(np.dot(ref, normal)) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(normal, ref)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(normal, b1)
-    rel = pts - centroid
-    ang = np.arctan2(rel @ b2, rel @ b1)
-    return pts[np.argsort(ang)]
+def _vertices_inside(corners: np.ndarray, half: np.ndarray, tol: float) -> np.ndarray:
+    """Vertices of A∩B that lie on the edges of one box, in the other's frame.
 
-
-def _clip_polyhedron(faces: list, plane_point: np.ndarray, normal: np.ndarray) -> list:
-    """Clip a convex polyhedron to the half-space (x - p) . n <= 0."""
-    new_faces = []
-    crossings: list = []
-    for face in faces:
-        signed = (face - plane_point) @ normal
-        clipped = _clip_face(face, signed, crossings)
-        if clipped is not None:
-            new_faces.append(clipped)
-    if crossings:
-        cap = _cap_polygon(crossings, normal)
-        if cap is not None:
-            new_faces.append(cap)
-    return new_faces
-
-
-def _polyhedron_volume(faces: list) -> float:
-    """Signed volume via the divergence theorem over fan-triangulated faces."""
-    vol = 0.0
-    for face in faces:
-        v0 = face[0]
-        for k in range(1, len(face) - 1):
-            vol += np.dot(v0, np.cross(face[k], face[k + 1]))
-    return vol / 6.0
-
-
-def _box_faces(box: Box3D) -> list:
-    corners = box.corners()
-    return [corners[list(idx)] for idx in BOX_FACES]
-
-
-def _box_planes(box: Box3D):
-    rot = box.rotation
-    half = box.dims / 2.0
-    for axis in range(3):
-        n = rot[:, axis]
-        for sign in (1.0, -1.0):
-            yield box.center + sign * half[axis] * n, sign * n
+    ``corners`` are the first box's corners in the local frame of the second,
+    an origin-centred box of half-extents ``half``. The candidates are those
+    corners and the points where the first box's edges cross the second's
+    face planes; those within ``tol`` of the second box are kept.
+    """
+    p0 = corners[_EDGES[:, 0]]
+    step = corners[_EDGES[:, 1]] - p0
+    # Edges parallel to a plane divide by zero or a denormal; their t is
+    # inf or nan and fails the [0, 1] test below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = (np.stack([-half, half])[None] - p0[:, None]) / step[:, None]  # (edge, side, axis)
+    hit = np.nonzero((t >= 0.0) & (t <= 1.0))
+    points = np.vstack([corners, p0[hit[0]] + t[hit][:, None] * step[hit[0]]])
+    return points[np.all(np.abs(points) <= half + tol, axis=1)]
 
 
 def intersection_volume(a: Box3D, b: Box3D) -> float:
-    """Exact volume of the intersection of two oriented boxes."""
-    faces = _box_faces(b)
-    for point, normal in _box_planes(a):
-        faces = _clip_polyhedron(faces, point, normal)
-        if not faces:
-            return 0.0
-    return max(0.0, _polyhedron_volume(faces))
+    """Exact volume of the intersection of two oriented boxes.
+
+    Works in ``a``'s local frame: the convex hull of every box corner inside
+    the other box and every point where an edge of one box crosses a face of
+    the other inside it. A set with no volume gives 0.
+    """
+    ra = a.rotation
+    rot = ra.T @ b.rotation  # b's axes in a's frame
+    offset = (b.center - a.center) @ ra  # b's center in a's frame
+    tol = _INSIDE_TOL * max(a.dims.max(), b.dims.max())
+    in_a = _vertices_inside(CORNER_SIGNS * b.dims @ rot.T + offset, a.dims / 2.0, tol)
+    in_b = _vertices_inside((CORNER_SIGNS * a.dims - offset) @ rot, b.dims / 2.0, tol)
+    points = np.vstack([in_a, in_b @ rot.T + offset])
+    if len(points) < 4:
+        return 0.0
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError:
+        return 0.0
 
 
 def iou3d(a: Box3D, b: Box3D) -> float:
@@ -449,7 +391,7 @@ def iou3d_monte_carlo(a: Box3D, b: Box3D, n_samples: int = 1_000_000, seed: int 
     The points are drawn and tested in fixed-size chunks of one stream only to
     bound memory; the chunking does not change the estimate.
 
-    Independent of the clipping path; used as an oracle and by the CLI.
+    Independent of the exact convex-hull path; used as an oracle and by the CLI.
 
     Raises:
         ValueError: if ``n_samples`` is less than 1.

@@ -22,6 +22,8 @@ from .dataio import DatasetFile
 __all__ = ["SamplerTargets", "SampleResult", "depth_quota_band", "sample_eval_split"]
 
 _QUOTA_TOL = 1e-9
+# The labels depth_quota_band returns; depth quotas must name exactly these.
+_DEPTH_BANDS = ("near", "mid", "far", "super_far")
 
 
 @dataclass
@@ -41,6 +43,12 @@ class SamplerTargets:
             total = sum(quotas.values())
             if abs(total - 1.0) > _QUOTA_TOL:
                 raise ValueError(f"{name} quotas sum to {total}, expected 1")
+        unknown = [k for k in self.depth_quotas if k not in _DEPTH_BANDS]
+        missing = [b for b in _DEPTH_BANDS if b not in self.depth_quotas]
+        if unknown or missing:
+            raise ValueError(
+                f"depth quotas must name the bands {list(_DEPTH_BANDS)}: unknown {unknown}, missing {missing}"
+            )
 
 
 @dataclass

@@ -29,7 +29,7 @@ _YAW_OFFSET_RANGE = (25.0, 65.0)
 _MARGIN_PX = 8.0  # projected silhouettes stay this far inside the image
 _MAX_BOX2D_IOU = 0.3  # largest 2D IoU between two placed boxes' projections
 # Share of the larger box's longest side by which two boxes must be apart,
-# or overlap, for _boxes_overlap to decide without exact clipping.
+# or overlap, for _boxes_overlap to decide without calling iou3d.
 _OVERLAP_MARGIN = 1e-3
 
 
@@ -134,10 +134,10 @@ def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) 
 
 
 def _boxes_overlap(a: Box3D, b: Box3D) -> bool:
-    """``iou3d(a, b) > 0``, decided without clipping when the answer is clear.
+    """``iou3d(a, b) > 0``, decided without calling it when the answer is clear.
 
     Clearly apart: along a face normal of either box, the boxes' extents
-    leave a gap wider than the margin, so exact clipping leaves nothing.
+    leave a gap wider than the margin, so the boxes share no volume.
     Clearly overlapping: a point on the segment between the centers lies
     inside both boxes with the margin to spare, so they share a ball of
     that radius. Pairs in between go to :func:`iou3d`.

@@ -190,6 +190,28 @@ class TestIoU3D:
         # intersection 1x2x2=4, union 16-4=12
         assert np.isclose(iou3d(a, b), 4.0 / 12.0, atol=1e-9)
 
+    def test_touching_faces_give_zero(self):
+        # +x face of a meets -x face of b; the shared face has no volume.
+        a = Box3D([0.0, 0.0, 2.0], [0.4, 0.3, 0.5], [1.0, 0.0, 0.0, 0.0])
+        b = Box3D([0.4, 0.05, 2.0], [0.4, 0.3, 0.5], [1.0, 0.0, 0.0, 0.0])
+        assert iou3d(a, b) == 0.0
+        assert iou3d(b, a) == 0.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        xy=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+        z=st.floats(0.0, 1e4),
+        dims=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+        quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1),
+    )
+    def test_property_far_from_origin(self, xy, z, dims, quat):
+        # Tolerances scale with the box, so far boxes keep exact IoU.
+        box = Box3D([xy[0], xy[1], z], dims, quat)
+        assert abs(iou3d(box, box) - 1.0) <= 1e-9
+        # Shifted by half its width along its own x axis: overlap w/2 of 3w/2.
+        shifted = box.translated(0.5 * box.dims[0] * box.rotation[:, 0])
+        assert abs(iou3d(box, shifted) - 1.0 / 3.0) <= 1e-9
+
     def test_diagonal_cube(self):
         # unit cube vs itself rotated 45 degrees about the vertical axis:
         # octagon cross-section, iou = 2(sqrt(2)-1) / (2 - 2(sqrt(2)-1))

@@ -50,6 +50,19 @@ class TestSamplerTargets:
         with pytest.raises(ValueError, match="source quotas"):
             SamplerTargets(source_quotas={"coco": 0.9, "lvis": 0.2})
 
+    @pytest.mark.parametrize(
+        "quotas, named",
+        [
+            ({"near": 0.5, "mid": 0.3, "far": 0.2}, r"missing \['super_far'\]"),
+            ({"near": 0.5, "mid": 0.25, "far": 0.2, "superfar": 0.05}, r"unknown \['superfar'\]"),
+        ],
+        ids=["missing_band", "misspelled_band"],
+    )
+    def test_depth_quotas_name_every_band(self, quotas, named):
+        with pytest.raises(ValueError, match="^depth quotas") as err:
+            SamplerTargets(depth_quotas=quotas)
+        err.match(named)
+
     def test_tolerance_on_quota_sum(self):
         SamplerTargets(depth_quotas={"near": 0.5 + 5e-10, "mid": 0.25, "far": 0.20, "super_far": 0.05})
 
@@ -63,6 +76,10 @@ class TestDepthQuotaBand:
         assert depth_quota_band(35.01) == "far"
         assert depth_quota_band(100.0) == "far"
         assert depth_quota_band(100.01) == "super_far"
+
+    def test_labels_are_the_default_quota_keys(self):
+        bands = {depth_quota_band(z) for z in (1.0, 20.0, 50.0, 200.0)}
+        assert bands == set(SamplerTargets().depth_quotas)
 
 
 class TestSetCover:
