@@ -503,6 +503,51 @@ def write_size_specs(specs: dict, path: str):
     atomic_write_text(path, canonical_json(doc))
 
 
+def _parse_size_spec(obj: dict) -> SizeSpec:
+    """One size-spec record: the category a string, each bound a pair of
+    finite numbers, ``max_depth_ratio`` a finite number and each flag a JSON
+    boolean.
+
+    Raises:
+        ValueError: naming the category and the field.
+    """
+    name = f"category {obj['category']!r}"
+    if not isinstance(obj["category"], str):
+        raise ValueError(f"{name}: category must be a string")
+
+    def finite(key, value):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ValueError(f"{name}: {key} must be a finite number, got {value!r}")
+        return number
+
+    def bounds(key):
+        pair = obj[key]
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{name}: {key} must be a [min, max] pair, got {pair!r}")
+        return finite(key, pair[0]), finite(key, pair[1])
+
+    def flag(key, default):
+        value = obj.get(key, default)
+        if not isinstance(value, bool):
+            raise ValueError(f"{name}: {key} must be true or false, got {value!r}")
+        return value
+
+    return SizeSpec(
+        category=obj["category"],
+        shortest=bounds("shortest"),
+        middle=bounds("middle"),
+        longest=bounds("longest"),
+        max_depth_ratio=finite("max_depth_ratio", obj["max_depth_ratio"]),
+        is_flat=flag("is_flat", False),
+        is_elongated=flag("is_elongated", False),
+        fixed_size=flag("fixed_size", True),
+    )
+
+
 def read_size_specs(path: str) -> dict:
     """dict of category -> SizeSpec.
 
@@ -514,16 +559,7 @@ def read_size_specs(path: str) -> dict:
     out = {}
     try:
         for obj in doc.get("categories", []):
-            spec = SizeSpec(
-                category=obj["category"],
-                shortest=tuple(obj["shortest"]),
-                middle=tuple(obj["middle"]),
-                longest=tuple(obj["longest"]),
-                max_depth_ratio=float(obj["max_depth_ratio"]),
-                is_flat=bool(obj.get("is_flat", False)),
-                is_elongated=bool(obj.get("is_elongated", False)),
-                fixed_size=bool(obj.get("fixed_size", True)),
-            )
+            spec = _parse_size_spec(obj)
             out[spec.category] = spec
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc

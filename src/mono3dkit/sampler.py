@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .dataio import DatasetFile
 
@@ -73,32 +74,16 @@ def depth_quota_band(z: float) -> str:
     return "super_far"
 
 
-def _image_stats(dataset: DatasetFile, depth_keys, source_keys):
-    """Per-image depth-band annotation counts and source one-hots."""
-    images = sorted(dataset.images, key=lambda im: im.id)
-    index = {im.id: i for i, im in enumerate(images)}
-    n = len(images)
-    band_idx = {b: k for k, b in enumerate(depth_keys)}
-    source_idx = {s: k for k, s in enumerate(source_keys)}
-    depth_counts = np.zeros((n, len(depth_keys)))
-    source_onehot = np.zeros((n, len(source_keys)))
-    categories_of = [set() for _ in range(n)]
-    for im in images:
-        if im.source in source_idx:
-            source_onehot[index[im.id], source_idx[im.source]] = 1.0
-    for a in dataset.annotations:
-        i = index[a.image_id]
-        categories_of[i].add(a.category)
-        if a.has_3d:
-            depth_counts[i, band_idx[depth_quota_band(float(a.center[2]))]] += 1.0
-    return images, depth_counts, source_onehot, categories_of
-
-
 def _l1_deviation(counts: np.ndarray, totals: np.ndarray, quotas: np.ndarray) -> np.ndarray:
     """L1 distance between achieved proportions and quotas, rowwise."""
     safe = np.maximum(totals, 1.0)
     props = counts / safe[:, None]
     return np.abs(props - quotas[None, :]).sum(axis=1)
+
+
+def _proportions(counts: np.ndarray, total, keys) -> dict:
+    """``counts / total`` by key; all 0.0 when ``total`` is 0."""
+    return {k: float(counts[j] / total) if total > 0 else 0.0 for j, k in enumerate(keys)}
 
 
 def sample_eval_split(
@@ -122,31 +107,45 @@ def sample_eval_split(
     targets = targets or SamplerTargets()
     depth_keys = tuple(targets.depth_quotas)
     source_keys = tuple(targets.source_quotas)
-    images, depth_counts, source_onehot, categories_of = _image_stats(dataset, depth_keys, source_keys)
-    n = len(images)
-    rng = np.random.default_rng(seed)
-    tie_rank = rng.permutation(n)
+    band_idx = {b: k for k, b in enumerate(depth_keys)}
+    source_idx = {s: k for k, s in enumerate(source_keys)}
 
-    all_categories = sorted(set().union(*categories_of) if categories_of else set())
-    images_per_category = {
-        c: frozenset(i for i in range(n) if c in categories_of[i]) for c in all_categories
-    }
+    # Rows are the images in tie-break order: row r holds the image, in id
+    # order, that the seeded permutation ranks r. The first best row is
+    # therefore the tie winner in every phase.
+    by_id = sorted(dataset.images, key=lambda im: im.id)
+    n = len(by_id)
+    images = [by_id[i] for i in np.argsort(np.random.default_rng(seed).permutation(n))]
+    row = {im.id: r for r, im in enumerate(images)}
+    categories = sorted({a.category for a in dataset.annotations})
+    column = {c: k for k, c in enumerate(categories)}
+    has = csr_matrix(
+        (
+            np.ones(len(dataset.annotations), dtype=np.int64),
+            ([row[a.image_id] for a in dataset.annotations], [column[a.category] for a in dataset.annotations]),
+        ),
+        shape=(n, len(categories)),
+    )
+    has.data[:] = 1  # the constructor sums repeated (image, category) pairs
+    depth_counts = np.zeros((n, len(depth_keys)))
+    for a in dataset.annotations:
+        if a.has_3d:
+            depth_counts[row[a.image_id], band_idx[depth_quota_band(float(a.center[2]))]] += 1.0
+    source_onehot = np.zeros((n, len(source_keys)))
+    for r, im in enumerate(images):
+        if im.source in source_idx:
+            source_onehot[r, source_idx[im.source]] = 1.0
 
     selected = np.zeros(n, dtype=bool)
 
-    # Phase 1: greedy set cover over categories.
-    uncovered = set(all_categories)
-    while uncovered:
-        gains = np.array(
-            [0 if selected[i] else len(uncovered & categories_of[i]) for i in range(n)]
-        )
-        best_gain = gains.max()
-        if best_gain == 0:
-            break
-        candidates = np.flatnonzero(gains == best_gain)
-        pick = candidates[np.argmin(tie_rank[candidates])]
+    # Phase 1: greedy set cover over categories. Each uncovered category has
+    # an open image, and a selected image covers no uncovered one, so the
+    # best gain is positive and never on a selected row.
+    uncovered = np.ones(len(categories), dtype=np.int64)
+    while uncovered.any():
+        pick = np.argmax(has @ uncovered)
         selected[pick] = True
-        uncovered -= categories_of[pick]
+        uncovered[has.indices[has.indptr[pick] : has.indptr[pick + 1]]] = 0
     phase1 = int(selected.sum())
 
     # Phase 2: greedy balanced fill against depth and source quotas.
@@ -154,56 +153,43 @@ def sample_eval_split(
     source_quota = np.array([targets.source_quotas[k] for k in source_keys])
     cur_depth = depth_counts[selected].sum(axis=0)
     cur_source = source_onehot[selected].sum(axis=0)
-    n_ann = float(depth_counts[selected].sum())
-    n_img = float(selected.sum())
     while selected.sum() < min(size, n):
         open_idx = np.flatnonzero(~selected)
         cand_depth = cur_depth[None, :] + depth_counts[open_idx]
         cand_source = cur_source[None, :] + source_onehot[open_idx]
-        cand_ann = n_ann + depth_counts[open_idx].sum(axis=1)
-        cand_img = np.full(open_idx.shape, n_img + 1.0)
+        # Counts are integers, so these float totals are exact.
+        cand_ann = cur_depth.sum() + depth_counts[open_idx].sum(axis=1)
+        cand_img = np.full(open_idx.shape, selected.sum() + 1.0)
         score = _l1_deviation(cand_depth, cand_ann, depth_quota) + _l1_deviation(
             cand_source, cand_img, source_quota
         )
-        best = score.min()
-        candidates = open_idx[score <= best + 1e-12]
-        pick = candidates[np.argmin(tie_rank[candidates])]
+        pick = open_idx[np.argmax(score <= score.min() + 1e-12)]
         selected[pick] = True
         cur_depth += depth_counts[pick]
         cur_source += source_onehot[pick]
-        n_ann += depth_counts[pick].sum()
-        n_img += 1.0
     phase2 = int(selected.sum())
 
-    # Phase 3: patch under-represented categories or flag them rare.
+    # Phase 3: patch under-represented categories or flag them rare. Each
+    # column lists its images' rows in ascending, that is tie-break, order.
+    members = has.tocsc()
     rare = []
-    for c in all_categories:
-        pool = images_per_category[c]
+    for k, c in enumerate(categories):
+        pool = members.indices[members.indptr[k] : members.indptr[k + 1]]
         if len(pool) < targets.min_per_category:
             rare.append(c)
             continue
-        have = sum(1 for i in pool if selected[i])
-        if have >= targets.min_per_category:
-            continue
-        missing = sorted((i for i in pool if not selected[i]), key=lambda i: tie_rank[i])
-        for i in missing[: targets.min_per_category - have]:
-            selected[i] = True
+        have = np.count_nonzero(selected[pool])
+        if have < targets.min_per_category:
+            missing = pool[~selected[pool]]
+            selected[missing[: targets.min_per_category - have]] = True
     phase3 = int(selected.sum())
 
-    sel_idx = np.flatnonzero(selected)
-    total_ann = depth_counts[sel_idx].sum()
-    total_img = len(sel_idx)
-    depth_props = {
-        k: float(depth_counts[sel_idx, j].sum() / total_ann) if total_ann > 0 else 0.0
-        for j, k in enumerate(depth_keys)
-    }
-    source_props = {
-        k: float(source_onehot[sel_idx, j].sum() / total_img) for j, k in enumerate(source_keys)
-    }
+    depth_sel = depth_counts[selected].sum(axis=0)
+    source_sel = source_onehot[selected].sum(axis=0)
     return SampleResult(
-        image_ids=[images[i].id for i in sel_idx],
-        rare_categories=tuple(sorted(rare)),
-        depth_proportions=depth_props,
-        source_proportions=source_props,
+        image_ids=sorted(images[r].id for r in np.flatnonzero(selected)),
+        rare_categories=tuple(rare),
+        depth_proportions=_proportions(depth_sel, depth_sel.sum(), depth_keys),
+        source_proportions=_proportions(source_sel, selected.sum(), source_keys),
         phase_sizes=(phase1, phase2, phase3),
     )

@@ -8,6 +8,7 @@ the measured numbers, so a test run doubles as an acceptance report.
 import math
 import sys
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -209,6 +210,9 @@ def test_criterion_4_rotation_normalization():
 # ---------------------------------------------------------------------------
 
 FD_H = 1e-5
+# Every quantity an L1 or min/max term switches on is drawn at least this far
+# from zero, so that no central difference straddles a kink.
+KINK_MARGIN = 1e-3
 
 
 def fd_grad(f, x, h=FD_H):
@@ -230,6 +234,15 @@ def rel_err(analytic, numeric):
     analytic = np.concatenate([np.ravel(a) for a in analytic])
     numeric = np.concatenate([np.ravel(n) for n in numeric])
     return float(np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12))
+
+
+def away_from_kinks(draw, kinks):
+    """``draw()`` redrawn until every entry of ``kinks(x)`` is at least
+    KINK_MARGIN from zero."""
+    while True:
+        x = draw()
+        if np.all(np.abs(kinks(x)) >= KINK_MARGIN):
+            return x
 
 
 def _check_l3d(rng):
@@ -264,7 +277,7 @@ def _check_silog(rng):
 
 def _check_depth_l1(rng):
     gt = rng.uniform(1.0, 10.0, size=8)
-    pred = gt * np.exp(rng.uniform(-0.9, 0.9, size=8))
+    pred = away_from_kinks(lambda: gt * np.exp(rng.uniform(-0.9, 0.9, size=8)), lambda p: p - gt)
     valid = np.ones(8, dtype=bool)
     rep = depth_l1_loss(pred, gt, valid)
     return rel_err([rep.gradient], [fd_grad(lambda p: depth_l1_loss(p, gt, valid).value, pred)])
@@ -290,7 +303,13 @@ def _check_mask_bce(rng):
 
 def _check_loss_2d(rng):
     tgt = np.array([[55.0, 52.0, 160.0, 175.0], [290.0, 210.0, 390.0, 280.0]])
-    pred = tgt + rng.uniform(-3.0, 3.0, size=(2, 4))
+    # The kinks: each corner offset (GIoU's min/max), each center and size
+    # offset (the cxcywh L1), in pixels.
+    offsets = away_from_kinks(
+        lambda: rng.uniform(-3.0, 3.0, size=(2, 4)),
+        lambda d: np.concatenate([d, (d[:, :2] + d[:, 2:]) / 2, d[:, 2:] - d[:, :2]], axis=1),
+    )
+    pred = tgt + offsets
     logits = rng.uniform(-1.5, 1.5, size=2)
     matches = [(0, 0), (1, 1)]
     cls_t = []
@@ -349,7 +368,7 @@ def test_criterion_5_loss_gradient_suite():
         }
         worst = {}
         for name, fn in checks.items():
-            rng = np.random.default_rng(hash(name) % 2**32)
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
             worst[name] = max(fn(rng) for _ in range(100))
         gt = np.array([1.0, 2.0, 5.0, 0.3])
         closed = silog_loss(2.0 * gt, gt, np.ones(4, dtype=bool)).value

@@ -210,6 +210,18 @@ class TestSampleCommand:
         assert doc["phase_sizes"] == [2, 2, 2]
         assert doc["config"]["seed"] == 5
 
+    def test_empty_selection_written(self, tmp_path, capsys):
+        # No annotations and --size 0 select nothing; proportions are 0.0, not NaN.
+        image = ImageRecord(id="img1", width=64, height=48, fx=50.0, fy=50.0, cx=32.0, cy=24.0)
+        pool = tmp_path / "pool.json"
+        write_dataset(DatasetFile(images=[image]), str(pool))
+        res = tmp_path / "split.json"
+        rc = main(["sample", str(pool), "--size", "0", "--output", str(res)])
+        assert rc == 0, capsys.readouterr().err
+        doc = json.loads(res.read_text())
+        assert doc["image_ids"] == []
+        assert set(doc["source_proportions"].values()) == {0.0}
+
     def test_missing_dataset(self, tmp_path, capsys):
         rc = main(["sample", str(tmp_path / "ghost.json")])
         assert rc == 2
@@ -474,6 +486,30 @@ def case_size_spec_missing_field(tmp_path):
     return [*small_lift_inputs(tmp_path), "--size-spec", spec], spec
 
 
+def size_spec_argv(tmp_path, **fields):
+    """The lift argv with a one-record size-spec file whose ``fields`` override valid values."""
+    record = {"category": "block", "shortest": [0.1, 1.0], "middle": [0.1, 1.0], "longest": [0.1, 1.0],
+              "max_depth_ratio": 4.0, **fields}
+    doc = {"format": "wd3d-sizespec", "version": 1, "categories": [record]}
+    return [*small_lift_inputs(tmp_path), "--size-spec", write_text(tmp_path, "spec.json", json.dumps(doc))]
+
+
+def case_size_spec_text_bounds(tmp_path):
+    return size_spec_argv(tmp_path, shortest=["a", "b"]), "category 'block': shortest must be a finite number"
+
+
+def case_size_spec_nan_ratio(tmp_path):
+    return size_spec_argv(tmp_path, max_depth_ratio="nan"), "category 'block': max_depth_ratio must be a finite number"
+
+
+def case_size_spec_text_flag(tmp_path):
+    return size_spec_argv(tmp_path, is_flat="false"), "category 'block': is_flat must be true or false"
+
+
+def case_size_spec_integer_category(tmp_path):
+    return size_spec_argv(tmp_path, category=7), "category 7: category must be a string"
+
+
 def case_truncated_depth_payload(tmp_path):
     header = b"WD3D" + (1).to_bytes(2, "little") + (64).to_bytes(4, "little") + (48).to_bytes(4, "little")
     argv = small_lift_inputs(tmp_path, depth_bytes=header + bytes(6))
@@ -654,6 +690,10 @@ BAD_INPUT_CASES = [
     case_sample_not_json,
     case_size_spec_wrong_format,
     case_size_spec_missing_field,
+    case_size_spec_text_bounds,
+    case_size_spec_nan_ratio,
+    case_size_spec_text_flag,
+    case_size_spec_integer_category,
     case_truncated_depth_payload,
     case_truncated_depth_header,
     case_instance_map_shape,

@@ -1,7 +1,11 @@
 """Balanced split sampling: coverage, quota fill, patching, rare flags."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_acceptance import sampler_pool
 
 from mono3dkit import (
     AnnotationRecord,
@@ -236,3 +240,175 @@ class TestEdgeCases:
         )
         res = sample_eval_split(ds, SamplerTargets(min_per_category=1), size=2)
         assert set(res.depth_proportions.values()) == {0.0}
+
+    def test_empty_selection_reports_zero_proportions(self):
+        ds = DatasetFile(images=[make_image("im0"), make_image("im1")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sample_eval_split(ds, size=0)
+        assert res.image_ids == []
+        assert res.phase_sizes == (0, 0, 0)
+        assert res.source_proportions == {"coco": 0.0, "lvis": 0.0, "objects365": 0.0}
+        assert set(res.depth_proportions.values()) == {0.0}
+
+
+def parent_image_stats(dataset, depth_keys, source_keys):
+    """Per-image depth-band annotation counts and source one-hots."""
+    images = sorted(dataset.images, key=lambda im: im.id)
+    index = {im.id: i for i, im in enumerate(images)}
+    n = len(images)
+    band_idx = {b: k for k, b in enumerate(depth_keys)}
+    source_idx = {s: k for k, s in enumerate(source_keys)}
+    depth_counts = np.zeros((n, len(depth_keys)))
+    source_onehot = np.zeros((n, len(source_keys)))
+    categories_of = [set() for _ in range(n)]
+    for im in images:
+        if im.source in source_idx:
+            source_onehot[index[im.id], source_idx[im.source]] = 1.0
+    for a in dataset.annotations:
+        i = index[a.image_id]
+        categories_of[i].add(a.category)
+        if a.has_3d:
+            depth_counts[i, band_idx[depth_quota_band(float(a.center[2]))]] += 1.0
+    return images, depth_counts, source_onehot, categories_of
+
+
+def parent_l1_deviation(counts, totals, quotas):
+    """L1 distance between achieved proportions and quotas, rowwise."""
+    safe = np.maximum(totals, 1.0)
+    props = counts / safe[:, None]
+    return np.abs(props - quotas[None, :]).sum(axis=1)
+
+
+def parent_sample_eval_split(dataset, targets=None, size=0, seed=0):
+    """sample_eval_split as it was before the incidence matrix: per-image
+    category sets, per-category frozensets and a tie-rank array; only the
+    empty-selection source proportions are fixed to 0.0."""
+    if not dataset.images:
+        raise ValueError("cannot sample from an empty dataset")
+    targets = targets or SamplerTargets()
+    depth_keys = tuple(targets.depth_quotas)
+    source_keys = tuple(targets.source_quotas)
+    images, depth_counts, source_onehot, categories_of = parent_image_stats(dataset, depth_keys, source_keys)
+    n = len(images)
+    rng = np.random.default_rng(seed)
+    tie_rank = rng.permutation(n)
+
+    all_categories = sorted(set().union(*categories_of) if categories_of else set())
+    images_per_category = {
+        c: frozenset(i for i in range(n) if c in categories_of[i]) for c in all_categories
+    }
+
+    selected = np.zeros(n, dtype=bool)
+
+    # Phase 1: greedy set cover over categories.
+    uncovered = set(all_categories)
+    while uncovered:
+        gains = np.array(
+            [0 if selected[i] else len(uncovered & categories_of[i]) for i in range(n)]
+        )
+        best_gain = gains.max()
+        if best_gain == 0:
+            break
+        candidates = np.flatnonzero(gains == best_gain)
+        pick = candidates[np.argmin(tie_rank[candidates])]
+        selected[pick] = True
+        uncovered -= categories_of[pick]
+    phase1 = int(selected.sum())
+
+    # Phase 2: greedy balanced fill against depth and source quotas.
+    depth_quota = np.array([targets.depth_quotas[k] for k in depth_keys])
+    source_quota = np.array([targets.source_quotas[k] for k in source_keys])
+    cur_depth = depth_counts[selected].sum(axis=0)
+    cur_source = source_onehot[selected].sum(axis=0)
+    n_ann = float(depth_counts[selected].sum())
+    n_img = float(selected.sum())
+    while selected.sum() < min(size, n):
+        open_idx = np.flatnonzero(~selected)
+        cand_depth = cur_depth[None, :] + depth_counts[open_idx]
+        cand_source = cur_source[None, :] + source_onehot[open_idx]
+        cand_ann = n_ann + depth_counts[open_idx].sum(axis=1)
+        cand_img = np.full(open_idx.shape, n_img + 1.0)
+        score = parent_l1_deviation(cand_depth, cand_ann, depth_quota) + parent_l1_deviation(
+            cand_source, cand_img, source_quota
+        )
+        best = score.min()
+        candidates = open_idx[score <= best + 1e-12]
+        pick = candidates[np.argmin(tie_rank[candidates])]
+        selected[pick] = True
+        cur_depth += depth_counts[pick]
+        cur_source += source_onehot[pick]
+        n_ann += depth_counts[pick].sum()
+        n_img += 1.0
+    phase2 = int(selected.sum())
+
+    # Phase 3: patch under-represented categories or flag them rare.
+    rare = []
+    for c in all_categories:
+        pool = images_per_category[c]
+        if len(pool) < targets.min_per_category:
+            rare.append(c)
+            continue
+        have = sum(1 for i in pool if selected[i])
+        if have >= targets.min_per_category:
+            continue
+        missing = sorted((i for i in pool if not selected[i]), key=lambda i: tie_rank[i])
+        for i in missing[: targets.min_per_category - have]:
+            selected[i] = True
+    phase3 = int(selected.sum())
+
+    sel_idx = np.flatnonzero(selected)
+    total_ann = depth_counts[sel_idx].sum()
+    total_img = len(sel_idx)
+    depth_props = {
+        k: float(depth_counts[sel_idx, j].sum() / total_ann) if total_ann > 0 else 0.0
+        for j, k in enumerate(depth_keys)
+    }
+    source_props = {
+        k: float(source_onehot[sel_idx, j].sum() / total_img) if total_img > 0 else 0.0
+        for j, k in enumerate(source_keys)
+    }
+    return SampleResult(
+        image_ids=[images[i].id for i in sel_idx],
+        rare_categories=tuple(sorted(rare)),
+        depth_proportions=depth_props,
+        source_proportions=source_props,
+        phase_sizes=(phase1, phase2, phase3),
+    )
+
+
+@st.composite
+def pools(draw):
+    """Up to 12 images in shuffled order, unknown and missing sources, and
+    0-4 annotations each over 5 categories, some without 3D."""
+    n = draw(st.integers(1, 12))
+    images = [
+        make_image(f"im{i:02d}", source=draw(st.sampled_from(["coco", "lvis", "objects365", "webcrawl", None])))
+        for i in draw(st.permutations(range(n)))
+    ]
+    annotations = []
+    for im in images:
+        cells = st.tuples(st.sampled_from("ABCDE"), st.sampled_from([None, *BAND_Z]))
+        for category, band in draw(st.lists(cells, max_size=4)):
+            annotations.append(make_annotation(f"a{len(annotations)}", im.id, category, band=band))
+    return DatasetFile(images=images, annotations=annotations)
+
+
+class TestEqualsParent:
+    """The incidence matrix in tie-break order selects exactly what the
+    per-image sets and tie ranks did, ties included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pool=pools(), min_per_category=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_same_result_on_generated_pools(self, pool, min_per_category, seed):
+        targets = SamplerTargets(min_per_category=min_per_category)
+        n = len(pool.images)
+        for size in (0, n // 2, n + 5):
+            got = sample_eval_split(pool, targets, size=size, seed=seed)
+            assert repr(got) == repr(parent_sample_eval_split(pool, targets, size=size, seed=seed)), size
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_result_on_c9_pool(self, seed):
+        ds, _ = sampler_pool()
+        got = sample_eval_split(ds, size=600, seed=seed)
+        assert repr(got) == repr(parent_sample_eval_split(ds, size=600, seed=seed))
