@@ -8,6 +8,7 @@ not ray length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.fx, self.fy, self.cx, self.cy))):
+            raise ValueError(f"intrinsics must be finite, got fx={self.fx}, fy={self.fy}, cx={self.cx}, cy={self.cy}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -42,34 +43,26 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{message}\n{self.format_usage().rstrip()}")
 
 
-def _int_at_least(low: int):
-    """Argparse type: an integer no smaller than ``low``."""
+def _number_in(convert, low: float, high: float = math.inf, above: bool = False):
+    """Argparse type: a finite ``convert(text)`` (int or float) in [low, high], or in (low, high] when ``above``."""
 
-    def check(text: str) -> int:
+    def check(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {'an integer' if convert is int else 'a number'}, got {text!r}") from None
+        if not ((low < value if above else low <= value) and value <= high and abs(value) < math.inf):
+            bounds = f"{'(' if above else '['}{low:g}, {high:g}{')' if high == math.inf else ']'}"
+            raise argparse.ArgumentTypeError(f"must be in {bounds}, got {text}")
         return value
 
     return check
 
 
-_non_negative_int = _int_at_least(0)
-_positive_int = _int_at_least(1)
-
-
-def _fraction(text: str) -> float:
-    """Argparse type: a number in [0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
-    return value
+_non_negative_int = _number_in(int, 0)
+_positive_int = _number_in(int, 1)
+_fraction = _number_in(float, 0.0, 1.0)
+_finite = _number_in(float, -math.inf, above=True)
 
 
 @contextlib.contextmanager
@@ -263,10 +256,13 @@ def _cmd_lift(args) -> int:
             raise InputError(f"no such file: {args.size_spec}")
         with _input_errors():
             size_specs = dataio.read_size_specs(args.size_spec)
-    images = ds.image_by_id()
+    anns_of = {}
+    for a in ds.annotations:
+        if a.instance is not None:
+            anns_of.setdefault(a.image_id, []).append(a)
     records = []
     for image in sorted(ds.images, key=lambda im: im.id):
-        anns = [a for a in ds.annotations if a.image_id == image.id and a.instance is not None]
+        anns = anns_of.get(image.id)
         if not anns:
             continue
         if image.depth_path is None:
@@ -280,7 +276,7 @@ def _cmd_lift(args) -> int:
         depth, instances, cloud = _read_rasters(image, depth_file, inst_file)
         for ann in sorted(anns, key=lambda a: a.id):
             try:
-                records.append(_lift_one(ann, images[ann.image_id], cloud, depth, instances, size_specs, args))
+                records.append(_lift_one(ann, image, cloud, depth, instances, size_specs, args))
             except ValueError as exc:
                 records.append(
                     {
@@ -327,15 +323,14 @@ def _write_synth(args, spec: SynthSpec, camera: CameraModel, written: list):
 
 
 def _cmd_synth(args) -> int:
-    with _input_errors("--fx/--fy: "):
-        camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
-    with _input_errors("--noise-sigma: "):
-        spec = SynthSpec(
-            n_boxes=args.boxes,
-            noise_sigma=args.noise_sigma,
-            floor_y=None if args.no_floor else args.floor_y,
-            categories=tuple(args.categories.split(",")),
-        )
+    # The flag types admit only values that CameraModel and SynthSpec accept.
+    camera = CameraModel(args.fx, args.fy, args.cx, args.cy, args.width, args.height)
+    spec = SynthSpec(
+        n_boxes=args.boxes,
+        noise_sigma=args.noise_sigma,
+        floor_y=None if args.no_floor else args.floor_y,
+        categories=tuple(args.categories.split(",")),
+    )
     created = not os.path.isdir(args.out_dir)
     os.makedirs(args.out_dir, exist_ok=True)
     written: list = []
@@ -441,12 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="synth-out")
     p.add_argument("--width", type=_positive_int, default=960)
     p.add_argument("--height", type=_positive_int, default=720)
-    p.add_argument("--fx", type=float, default=450.0)
-    p.add_argument("--fy", type=float, default=450.0)
-    p.add_argument("--cx", type=float, default=480.0)
-    p.add_argument("--cy", type=float, default=360.0)
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--floor-y", type=float, default=1.2)
+    p.add_argument("--fx", type=_number_in(float, 0.0, above=True), default=450.0)
+    p.add_argument("--fy", type=_number_in(float, 0.0, above=True), default=450.0)
+    p.add_argument("--cx", type=_finite, default=480.0)
+    p.add_argument("--cy", type=_finite, default=360.0)
+    p.add_argument("--noise-sigma", type=_number_in(float, 0.0), default=0.0)
+    p.add_argument("--floor-y", type=_finite, default=1.2)
     p.add_argument("--no-floor", action="store_true")
     p.add_argument("--categories", default="block")
     p.set_defaults(func=_cmd_synth)

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
 DATASET_FORMAT = "wd3d-dataset"
 DATASET_VERSION = 1
 SIZESPEC_FORMAT = "wd3d-sizespec"
+SIZESPEC_VERSION = 1
 _DEPTH_MAGIC = b"WD3D"
 _INSTANCE_MAGIC = b"WD3I"
 _BINARY_VERSION = 1
@@ -209,14 +211,6 @@ def _check(cond: bool, what: str):
         raise ValueError(what)
 
 
-def _check_strings(name: str, record, keys, nullable: bool = False):
-    """Each ``record.key`` is a string (or None when ``nullable``)."""
-    for key in keys:
-        value = getattr(record, key)
-        if not (isinstance(value, str) or (nullable and value is None)):
-            raise ValueError(f"{name}: {key} must be a string{' or null' if nullable else ''}, got {value!r}")
-
-
 def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
@@ -226,8 +220,6 @@ def validate_dataset(ds: DatasetFile):
     seen = set()
     for im in ds.images:
         name = f"image {im.id!r}"
-        _check_strings(name, im, ("id",))
-        _check_strings(name, im, ("depth_path", "source", "scene"), nullable=True)
         _check(im.id not in seen, f"{name}: duplicate id")
         seen.add(im.id)
         _check(im.width > 0 and im.height > 0, f"{name}: non-positive size")
@@ -236,7 +228,6 @@ def validate_dataset(ds: DatasetFile):
     ann_seen = set()
     for a in ds.annotations:
         name = f"annotation {a.id!r}"
-        _check_strings(name, a, ("id", "image_id", "category"))
         _check(a.id not in ann_seen, f"{name}: duplicate id")
         ann_seen.add(a.id)
         _check(a.image_id in seen, f"{name}: references missing image {a.image_id!r}")
@@ -315,76 +306,93 @@ def write_dataset(ds: DatasetFile, path: str):
     atomic_write_text(path, canonical_json(doc))
 
 
-def _name_bad_number(record: str, obj: dict, fields):
-    """Raise ValueError naming the record and the first field whose value its
-    conversion rejects; ``fields`` holds (key, convert, value) triples. Returns
-    when every value converts."""
-    for key, convert, value in fields:
-        try:
-            convert(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{record} {obj['id']!r}: {key} must be numeric, got {value!r}") from None
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false", dict: "an object"}
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _number(value):
+    """A finite JSON number (bools are not numbers) as a float, else None."""
+    if type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    return value if type(value) is float and math.isfinite(value) else None
+
+
+def _field(obj: dict, key: str, kind, record: str, nullable: bool = False):
+    """``obj[key]``, checked to be of one JSON kind; nothing is coerced.
+
+    ``kind`` is ``str``, ``int``, ``float`` (a finite number, returned as a
+    float), ``bool``, ``dict`` or an int ``n``: a list of n finite numbers,
+    returned as a tuple of floats. Bools are neither integers nor numbers.
+    A ``nullable`` field that is null or absent reads as None.
+
+    Raises:
+        ValueError: ``record``, the message's lead naming the record (e.g.
+            ``"image 'im0': "``), then the field, the kind and the value.
+    """
+    value = obj.get(key)
+    if value is None:
+        if nullable:
+            return None
+    elif kind is float:
+        number = _number(value)
+        if number is not None:
+            return number
+    elif type(kind) is int:
+        if type(value) is list and len(value) == kind:
+            numbers = tuple(map(_number, value))
+            if None not in numbers:
+                return numbers
+    elif type(value) is kind:
+        return value
+    expected = f"{kind} finite numbers" if type(kind) is int else _KINDS[kind]
+    got = f"got {value!r}" if key in obj else "but is missing"
+    raise ValueError(f"{record}{key} must be {expected}{' or null' if nullable else ''}, {got}")
 
 
 def _parse_image(obj: dict) -> ImageRecord:
-    intr = obj["intrinsics"]
-    try:
-        return ImageRecord(
-            id=obj["id"],
-            width=int(obj["width"]),
-            height=int(obj["height"]),
-            fx=float(intr["fx"]),
-            fy=float(intr["fy"]),
-            cx=float(intr["cx"]),
-            cy=float(intr["cy"]),
-            depth_path=obj.get("depth_path"),
-            source=obj.get("source"),
-            scene=obj.get("scene"),
-        )
-    except (TypeError, ValueError):
-        fields = [(key, int, obj[key]) for key in ("width", "height")]
-        fields += [(f"intrinsics.{key}", float, intr[key]) for key in ("fx", "fy", "cx", "cy")]
-        _name_bad_number("image", obj, fields)
-        raise
+    record = f"image {obj.get('id')!r}: "
+    intrinsics = _field(obj, "intrinsics", dict, record)
+    intrinsics_record = record + "intrinsics."
+    return ImageRecord(
+        id=_field(obj, "id", str, record),
+        width=_field(obj, "width", int, record),
+        height=_field(obj, "height", int, record),
+        fx=_field(intrinsics, "fx", float, intrinsics_record),
+        fy=_field(intrinsics, "fy", float, intrinsics_record),
+        cx=_field(intrinsics, "cx", float, intrinsics_record),
+        cy=_field(intrinsics, "cy", float, intrinsics_record),
+        depth_path=_field(obj, "depth_path", str, record, nullable=True),
+        source=_field(obj, "source", str, record, nullable=True),
+        scene=_field(obj, "scene", str, record, nullable=True),
+    )
 
 
 def _parse_annotation(obj: dict) -> AnnotationRecord:
-    def optional(key, convert):
-        v = obj.get(key)
-        return convert(v) if v is not None else None
-
-    try:
-        return AnnotationRecord(
-            id=obj["id"],
-            image_id=obj["image_id"],
-            category=obj["category"],
-            box2d=_floats(obj["box2d"]),
-            center=optional("center", _floats),
-            dims=optional("dims", _floats),
-            quaternion=optional("quaternion", _floats),
-            ignore3d=bool(obj["ignore3d"]),
-            quality=obj.get("quality"),
-            s2d=optional("s2d", float),
-            s3d=optional("s3d", float),
-            instance=obj.get("instance"),  # checked, not converted, by validate_dataset
-        )
-    except (TypeError, ValueError):
-        numbers = [(key, _floats) for key in ("box2d", "center", "dims", "quaternion")] + [("s2d", float), ("s3d", float)]
-        fields = [(key, convert, obj[key]) for key, convert in numbers if obj.get(key) is not None]
-        _name_bad_number("annotation", obj, fields)
-        raise
+    record = f"annotation {obj.get('id')!r}: "
+    return AnnotationRecord(
+        id=_field(obj, "id", str, record),
+        image_id=_field(obj, "image_id", str, record),
+        category=_field(obj, "category", str, record),
+        box2d=_field(obj, "box2d", 4, record),
+        center=_field(obj, "center", 3, record, nullable=True),
+        dims=_field(obj, "dims", 3, record, nullable=True),
+        quaternion=_field(obj, "quaternion", 4, record, nullable=True),
+        ignore3d=_field(obj, "ignore3d", bool, record),
+        quality=_field(obj, "quality", str, record, nullable=True),
+        s2d=_field(obj, "s2d", float, record, nullable=True),
+        s3d=_field(obj, "s3d", float, record, nullable=True),
+        instance=_field(obj, "instance", int, record, nullable=True),
+    )
 
 
-def _read_document(path: str, fmt: str) -> dict:
-    """The JSON object in ``path``, checked to carry ``"format": fmt``.
+def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
+    """The record lists ``sections`` (absent ones empty) of the JSON
+    document in ``path``.
 
     Raises:
         ValueError: naming the path, for text that is not JSON, a top
-            level that is not an object, or another format.
+            level that is not an object, another format, a version that is
+            not an integer or is newer than ``version``, or a section that
+            is not a list of objects.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -393,7 +401,18 @@ def _read_document(path: str, fmt: str) -> dict:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} document")
-    return doc
+    if _field(doc, "version", int, f"{path}: ") > version:
+        raise ValueError(f"{path}: unsupported version {doc['version']}")
+    lists = []
+    for section in sections:
+        records = doc.get(section, [])
+        if type(records) is not list:
+            raise ValueError(f"{path}: {section} must be a list, got {records!r}")
+        for i, obj in enumerate(records):
+            if type(obj) is not dict:
+                raise ValueError(f"{path}: {section}[{i}] must be an object, got {obj!r}")
+        lists.append(records)
+    return lists
 
 
 def read_dataset(path: str) -> DatasetFile:
@@ -401,21 +420,18 @@ def read_dataset(path: str) -> DatasetFile:
 
     Raises:
         ValueError: naming the path, for a document of another format or
-            version, a malformed record, or a failed schema check.
+            version, a field of the wrong JSON kind, or a failed schema
+            check; a record's error names the record and the field.
     """
-    doc = _read_document(path, DATASET_FORMAT)
+    images, annotations = _read_document(path, DATASET_FORMAT, DATASET_VERSION, "images", "annotations")
     try:
-        if int(doc.get("version", 0)) > DATASET_VERSION:
-            raise ValueError(f"unsupported version {doc['version']}")
         ds = DatasetFile(
-            images=[_parse_image(o) for o in doc.get("images", [])],
-            annotations=[_parse_annotation(o) for o in doc.get("annotations", [])],
+            images=[_parse_image(o) for o in images],
+            annotations=[_parse_annotation(o) for o in annotations],
         )
         validate_dataset(ds)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed record ({exc})") from exc
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: malformed record ({exc})") from exc
     return ds
 
 
@@ -499,52 +515,21 @@ def write_size_specs(specs: dict, path: str):
                 "fixed_size": s.fixed_size,
             }
         )
-    doc = {"format": SIZESPEC_FORMAT, "version": 1, "categories": records}
+    doc = {"format": SIZESPEC_FORMAT, "version": SIZESPEC_VERSION, "categories": records}
     atomic_write_text(path, canonical_json(doc))
 
 
 def _parse_size_spec(obj: dict) -> SizeSpec:
-    """One size-spec record: the category a string, each bound a pair of
-    finite numbers, ``max_depth_ratio`` a finite number and each flag a JSON
-    boolean.
-
-    Raises:
-        ValueError: naming the category and the field.
-    """
-    name = f"category {obj['category']!r}"
-    if not isinstance(obj["category"], str):
-        raise ValueError(f"{name}: category must be a string")
-
-    def finite(key, value):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not math.isfinite(number):
-            raise ValueError(f"{name}: {key} must be a finite number, got {value!r}")
-        return number
-
-    def bounds(key):
-        pair = obj[key]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{name}: {key} must be a [min, max] pair, got {pair!r}")
-        return finite(key, pair[0]), finite(key, pair[1])
-
-    def flag(key, default):
-        value = obj.get(key, default)
-        if not isinstance(value, bool):
-            raise ValueError(f"{name}: {key} must be true or false, got {value!r}")
-        return value
-
+    """One size-spec record; an absent flag takes its ``SizeSpec`` default."""
+    record = f"category {obj.get('category')!r}: "
+    flags = {key: _field(obj, key, bool, record) for key in ("is_flat", "is_elongated", "fixed_size") if key in obj}
     return SizeSpec(
-        category=obj["category"],
-        shortest=bounds("shortest"),
-        middle=bounds("middle"),
-        longest=bounds("longest"),
-        max_depth_ratio=finite("max_depth_ratio", obj["max_depth_ratio"]),
-        is_flat=flag("is_flat", False),
-        is_elongated=flag("is_elongated", False),
-        fixed_size=flag("fixed_size", True),
+        category=_field(obj, "category", str, record),
+        shortest=_field(obj, "shortest", 2, record),
+        middle=_field(obj, "middle", 2, record),
+        longest=_field(obj, "longest", 2, record),
+        max_depth_ratio=_field(obj, "max_depth_ratio", float, record),
+        **flags,
     )
 
 
@@ -553,15 +538,18 @@ def read_size_specs(path: str) -> dict:
 
     Raises:
         ValueError: naming the path, for a document of another format or
-            a malformed record.
+            version, a field of the wrong JSON kind, or a category given
+            twice; a record's error names the category and the field.
     """
-    doc = _read_document(path, SIZESPEC_FORMAT)
+    (records,) = _read_document(path, SIZESPEC_FORMAT, SIZESPEC_VERSION, "categories")
     out = {}
     try:
-        for obj in doc.get("categories", []):
+        for obj in records:
             spec = _parse_size_spec(obj)
+            if spec.category in out:
+                raise ValueError(f"category {spec.category!r}: duplicate category")
             out[spec.category] = spec
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc
     return out
 

@@ -69,6 +69,8 @@ class SynthSpec:
             raise ValueError("bad depth_range")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        if self.floor_y is not None and not math.isfinite(self.floor_y):
+            raise ValueError(f"floor_y must be finite, got {self.floor_y}")
 
 
 @dataclass

@@ -33,6 +33,13 @@ class TestCameraModel:
         with pytest.raises(ValueError):
             CameraModel(500.0, 500.0, 320.0, 240.0, 0, 480)
 
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_intrinsics(self, field, value):
+        intrinsics = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
+        with pytest.raises(ValueError, match=f"intrinsics must be finite, got .*{field}={value}"):
+            CameraModel(**{**intrinsics, field: value})
+
 
 class TestProjection:
     def test_principal_axis(self):

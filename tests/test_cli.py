@@ -486,16 +486,16 @@ def case_size_spec_missing_field(tmp_path):
     return [*small_lift_inputs(tmp_path), "--size-spec", spec], spec
 
 
-def size_spec_argv(tmp_path, **fields):
-    """The lift argv with a one-record size-spec file whose ``fields`` override valid values."""
+def size_spec_argv(tmp_path, version=1, copies=1, **fields):
+    """The lift argv with a size-spec file of ``copies`` records whose ``fields`` override valid values."""
     record = {"category": "block", "shortest": [0.1, 1.0], "middle": [0.1, 1.0], "longest": [0.1, 1.0],
               "max_depth_ratio": 4.0, **fields}
-    doc = {"format": "wd3d-sizespec", "version": 1, "categories": [record]}
+    doc = {"format": "wd3d-sizespec", "version": version, "categories": [record] * copies}
     return [*small_lift_inputs(tmp_path), "--size-spec", write_text(tmp_path, "spec.json", json.dumps(doc))]
 
 
 def case_size_spec_text_bounds(tmp_path):
-    return size_spec_argv(tmp_path, shortest=["a", "b"]), "category 'block': shortest must be a finite number"
+    return size_spec_argv(tmp_path, shortest=["a", "b"]), "category 'block': shortest must be 2 finite numbers, got ['a', 'b']"
 
 
 def case_size_spec_nan_ratio(tmp_path):
@@ -508,6 +508,21 @@ def case_size_spec_text_flag(tmp_path):
 
 def case_size_spec_integer_category(tmp_path):
     return size_spec_argv(tmp_path, category=7), "category 7: category must be a string"
+
+
+def case_size_spec_future_version(tmp_path):
+    argv = size_spec_argv(tmp_path, version=99)
+    return argv, f"{argv[-1]}: unsupported version 99"
+
+
+def case_size_spec_numeric_text_ratio(tmp_path):
+    argv = size_spec_argv(tmp_path, max_depth_ratio="1.5")
+    return argv, f"{argv[-1]}: malformed record (category 'block': max_depth_ratio must be a finite number, got '1.5')"
+
+
+def case_size_spec_duplicate_category(tmp_path):
+    argv = size_spec_argv(tmp_path, copies=2)
+    return argv, f"{argv[-1]}: malformed record (category 'block': duplicate category)"
 
 
 def case_truncated_depth_payload(tmp_path):
@@ -526,12 +541,22 @@ def case_instance_map_shape(tmp_path):
     return argv, str(tmp_path / "masks" / "im0.wd3i")
 
 
-def edit_first(path, section, **fields):
-    """Overwrite fields of the first record in ``section`` of a dataset file."""
+def rewrite(path, edit):
+    """Apply ``edit`` to the JSON document in ``path`` and write it back."""
     doc = json.loads(open(path).read())
-    doc[section][0].update(fields)
+    edit(doc)
     with open(path, "w") as f:
         json.dump(doc, f)
+
+
+def set_first(section, **fields):
+    """An edit that overwrites fields of the first record in ``section``."""
+    return lambda doc: doc[section][0].update(fields)
+
+
+def edit_first(path, section, **fields):
+    """Overwrite fields of the first record in ``section`` of a dataset file."""
+    rewrite(path, set_first(section, **fields))
 
 
 def case_nan_gt_center(tmp_path):
@@ -586,13 +611,13 @@ def case_sample_list_source(tmp_path):
 def case_lift_text_instance(tmp_path):
     argv = small_lift_inputs(tmp_path)
     edit_first(argv[1], "annotations", instance="x")
-    return argv, "annotation 'a0': instance must be an integer in 1..65535"
+    return argv, "annotation 'a0': instance must be an integer or null, got 'x'"
 
 
 def case_lift_fractional_instance(tmp_path):
     argv = small_lift_inputs(tmp_path)
     edit_first(argv[1], "annotations", instance=1.7)
-    return argv, "annotation 'a0': instance must be an integer in 1..65535, got 1.7"
+    return argv, "annotation 'a0': instance must be an integer or null, got 1.7"
 
 
 def case_lift_negative_instance(tmp_path):
@@ -604,7 +629,7 @@ def case_lift_negative_instance(tmp_path):
 def case_lift_boolean_instance(tmp_path):
     argv = small_lift_inputs(tmp_path)
     edit_first(argv[1], "annotations", instance=True)
-    return argv, "annotation 'a0': instance must be an integer in 1..65535, got True"
+    return argv, "annotation 'a0': instance must be an integer or null, got True"
 
 
 def case_lift_instance_beyond_uint16(tmp_path):
@@ -616,25 +641,37 @@ def case_lift_instance_beyond_uint16(tmp_path):
 def case_sample_text_in_box2d(tmp_path):
     gt, _ = eval_pair(tmp_path)
     edit_first(gt, "annotations", box2d=["a", 1, 2, 3])
-    return ["sample", gt], "annotation 'a0': box2d must be numeric"
+    return ["sample", gt], "annotation 'a0': box2d must be 4 finite numbers, got ['a', 1, 2, 3]"
 
 
 def case_eval_text_s2d(tmp_path):
     gt, pred = eval_pair(tmp_path)
     edit_first(pred, "annotations", s2d="high")
-    return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0': s2d must be numeric, got 'high'"
+    return ["eval", gt, pred, "--output", str(tmp_path / "r.json")], "annotation 'a0': s2d must be a finite number or null, got 'high'"
 
 
 def case_sample_text_width(tmp_path):
     gt, _ = eval_pair(tmp_path)
     edit_first(gt, "images", width="wide")
-    return ["sample", gt], "image 'im0': width must be numeric, got 'wide'"
+    return ["sample", gt], "image 'im0': width must be an integer, got 'wide'"
 
 
 def case_lift_text_focal_length(tmp_path):
     argv = small_lift_inputs(tmp_path)
     edit_first(argv[1], "images", intrinsics={"fx": "f", "fy": 50.0, "cx": 32.0, "cy": 24.0})
-    return argv, "image 'im0': intrinsics.fx must be numeric, got 'f'"
+    return argv, "image 'im0': intrinsics.fx must be a finite number, got 'f'"
+
+
+def case_sample_edit(name, edit, needle):
+    """``sample`` on a ground-truth file after ``edit``; the error is the file, then ``needle``."""
+
+    def build(tmp_path):
+        gt, _ = eval_pair(tmp_path)
+        rewrite(gt, edit)
+        return ["sample", gt], f"{gt}: {needle}"
+
+    build.__name__ = f"case_sample_{name}"
+    return build
 
 
 def case_symmetric_categories_not_text(tmp_path):
@@ -694,6 +731,9 @@ BAD_INPUT_CASES = [
     case_size_spec_nan_ratio,
     case_size_spec_text_flag,
     case_size_spec_integer_category,
+    case_size_spec_future_version,
+    case_size_spec_numeric_text_ratio,
+    case_size_spec_duplicate_category,
     case_truncated_depth_payload,
     case_truncated_depth_header,
     case_instance_map_shape,
@@ -714,6 +754,50 @@ BAD_INPUT_CASES = [
     case_eval_text_s2d,
     case_sample_text_width,
     case_lift_text_focal_length,
+    case_sample_edit(
+        "text_box2d",
+        set_first("annotations", box2d="1234"),
+        "malformed record (annotation 'a0': box2d must be 4 finite numbers, got '1234')",
+    ),
+    case_sample_edit(
+        "fractional_width",
+        set_first("images", width=64.9),
+        "malformed record (image 'im0': width must be an integer, got 64.9)",
+    ),
+    case_sample_edit(
+        "boolean_width",
+        set_first("images", width=True),
+        "malformed record (image 'im0': width must be an integer, got True)",
+    ),
+    case_sample_edit(
+        "numeric_text_width",
+        set_first("images", width="64"),
+        "malformed record (image 'im0': width must be an integer, got '64')",
+    ),
+    case_sample_edit(
+        "missing_width",
+        lambda doc: doc["images"][0].pop("width"),
+        "malformed record (image 'im0': width must be an integer, but is missing)",
+    ),
+    case_sample_edit(
+        "numeric_text_fx",
+        set_first("images", intrinsics={"fx": "50", "fy": 500.0, "cx": 320.0, "cy": 240.0}),
+        "malformed record (image 'im0': intrinsics.fx must be a finite number, got '50')",
+    ),
+    case_sample_edit(
+        "numeric_text_s2d",
+        set_first("annotations", s2d="0.5"),
+        "malformed record (annotation 'a0': s2d must be a finite number or null, got '0.5')",
+    ),
+    case_sample_edit(
+        "text_ignore3d",
+        set_first("annotations", ignore3d="false"),
+        "malformed record (annotation 'a0': ignore3d must be true or false, got 'false')",
+    ),
+    case_sample_edit("fractional_version", lambda doc: doc.update(version=1.9), "version must be an integer, got 1.9"),
+    case_sample_edit("boolean_version", lambda doc: doc.update(version=True), "version must be an integer, got True"),
+    case_sample_edit("missing_version", lambda doc: doc.pop("version"), "version must be an integer, but is missing"),
+    case_sample_edit("text_annotation", lambda doc: doc.update(annotations=["x"]), "annotations[0] must be an object, got 'x'"),
     case_symmetric_categories_not_text,
     case_flag("--grid-size", "4"),
     case_flag("--grid-size", "0"),
@@ -721,6 +805,9 @@ BAD_INPUT_CASES = [
     case_flag("--max-dets", "-1"),
     case_flag("--boxes", "0"),
     case_flag("--fx", "0"),
+    case_flag("--fx", "nan"),
+    case_flag("--cx", "nan"),
+    case_flag("--floor-y", "inf"),
     case_flag("--noise-sigma", "-1"),
     case_flag("--seed", "-1", "lift"),
     case_flag("--seed", "-1", "iou"),

@@ -1,11 +1,16 @@
 """Dataset files, canonical JSON, binary rasters, and cloud backprojection."""
 
+import contextlib
+import io
+import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mono3dkit import (
     AnnotationRecord,
@@ -27,7 +32,7 @@ from mono3dkit import (
     write_size_specs,
 )
 from mono3dkit.camera import backproject
-from mono3dkit.cli import detections_from_dataset, ground_truths_from_dataset
+from mono3dkit.cli import detections_from_dataset, ground_truths_from_dataset, main
 from mono3dkit.dataio import (
     DATASET_FORMAT,
     QUALITY_RATINGS,
@@ -566,6 +571,115 @@ class TestSizeSpecFile:
         atomic_write_text(path, canonical_json({"format": SIZESPEC_FORMAT, "version": 1, "categories": [record]}))
         with pytest.raises(ValueError, match="specs.json: malformed record"):
             read_size_specs(path)
+
+    def test_duplicate_category_names_it(self, tmp_path):
+        path = str(tmp_path / "specs.json")
+        first = {"category": "car", "shortest": [1.2, 1.8], "middle": [1.4, 2.0], "longest": [3.5, 5.5], "max_depth_ratio": 4.0}
+        second = {**first, "shortest": [1.0, 2.0]}
+        atomic_write_text(path, canonical_json({"format": SIZESPEC_FORMAT, "version": 1, "categories": [first, second]}))
+        with pytest.raises(ValueError, match=r"specs.json: malformed record \(category 'car': duplicate category\)"):
+            read_size_specs(path)
+
+
+# ---------------------------------------------------------------------------
+# Reader field kinds: one field of a valid record replaced by a value of each
+# JSON kind either reads back as that value or fails naming record and field
+# ---------------------------------------------------------------------------
+
+VALID_RECORDS = {
+    "images": {
+        "id": "im0", "width": 64, "height": 48, "intrinsics": {"fx": 50.0, "fy": 50.0, "cx": 32.0, "cy": 24.0},
+        "depth_path": None, "source": None, "scene": None,
+    },
+    "annotations": {
+        "id": "a0", "image_id": "im0", "category": "block", "box2d": [10.0, 10.0, 30.0, 30.0], "ignore3d": True,
+        "quality": None,
+    },
+    "categories": {
+        "category": "block", "shortest": [0.1, 1.0], "middle": [0.1, 1.0], "longest": [0.1, 1.0], "max_depth_ratio": 4.0,
+    },
+}
+# (section, field, JSON kind: a type or n for a list of n finite numbers, nullable)
+FIELD_KINDS = [
+    ("images", "id", str, False),
+    ("images", "width", int, False),
+    ("images", "height", int, False),
+    ("images", "intrinsics", dict, False),
+    *[("images", f"intrinsics.{key}", float, False) for key in ("fx", "fy", "cx", "cy")],
+    *[("images", key, str, True) for key in ("depth_path", "source", "scene")],
+    *[("annotations", key, str, False) for key in ("id", "image_id", "category")],
+    ("annotations", "box2d", 4, False),
+    *[("annotations", key, n, True) for key, n in (("center", 3), ("dims", 3), ("quaternion", 4))],
+    ("annotations", "ignore3d", bool, False),
+    ("annotations", "quality", str, True),
+    *[("annotations", key, float, True) for key in ("s2d", "s3d")],
+    ("annotations", "instance", int, True),
+    ("categories", "category", str, False),
+    *[("categories", key, 2, False) for key in ("shortest", "middle", "longest")],
+    ("categories", "max_depth_ratio", float, False),
+    *[("categories", key, bool, False) for key in ("is_flat", "is_elongated", "fixed_size")],
+]
+# One value of each JSON kind: string, integer, number, boolean, null, NaN, list, object.
+VALUE_POOL = ["im0", 7, 2.5, True, None, math.nan, [1.5, 2.5], {}]
+
+
+def of_kind(value, kind, nullable) -> bool:
+    if value is None:
+        return nullable
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    if type(kind) is int:
+        return type(value) is list and len(value) == kind and all(of_kind(v, float, False) for v in value)
+    return type(value) is kind
+
+
+def as_read(value, kind):
+    """``value`` as the reader returns a field of ``kind``: numbers as floats."""
+    if value is not None and kind is float:
+        return float(value)
+    if value is not None and type(kind) is int:
+        return tuple(map(float, value))
+    return value
+
+
+class TestReaderFieldKinds:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(field=st.sampled_from(FIELD_KINDS), value=st.sampled_from(VALUE_POOL))
+    def test_value_reads_back_or_is_named(self, field, value):
+        section, key, kind, nullable = field
+        records = {name: dict(record) for name, record in VALID_RECORDS.items()}
+        record = records[section]
+        if key.startswith("intrinsics."):
+            record["intrinsics"] = {**record["intrinsics"], key.split(".")[1]: value}
+        else:
+            record[key] = value
+        name = {"images": "image", "annotations": "annotation", "categories": "category"}[section]
+        name += f" {record['category' if section == 'categories' else 'id']!r}: "
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, specs = os.path.join(tmp, "ds.json"), os.path.join(tmp, "specs.json")
+            with open(dataset, "w") as f:
+                images, annotations = [records["images"]], [records["annotations"]]
+                json.dump({"format": DATASET_FORMAT, "version": 1, "images": images, "annotations": annotations}, f)
+            with open(specs, "w") as f:
+                json.dump({"format": SIZESPEC_FORMAT, "version": 1, "categories": [records["categories"]]}, f)
+            path = specs if section == "categories" else dataset
+            try:
+                if section == "categories":
+                    got = getattr(read_size_specs(specs)[record["category"]], key)
+                else:
+                    got = getattr(getattr(read_dataset(dataset), section)[0], key.split(".")[-1])
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ") and name in str(exc) and key in str(exc)
+            else:
+                assert of_kind(value, kind, nullable)
+                assert repr(got) == repr(as_read(value, kind))
+
+            # lift reads both files; the valid annotation has no instance id to lift.
+            argv = ["lift", dataset, "--depth-dir", tmp, "--masks-dir", tmp, "--size-spec", specs]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                rc = main([*argv, "--output", os.path.join(tmp, "out.json")])
+            assert rc in (0, 2), stderr.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(depth_range=(2.0, 1.0))
 
+    @pytest.mark.parametrize("floor_y", [float("nan"), float("inf"), -float("inf")])
+    def test_floor_y_must_be_finite(self, floor_y):
+        with pytest.raises(ValueError, match="floor_y must be finite"):
+            SynthSpec(floor_y=floor_y)
+
     @pytest.mark.parametrize("sigma", [-1.0, -1e-9, float("nan"), float("inf")])
     def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
         with pytest.raises(ValueError, match="noise_sigma"):
