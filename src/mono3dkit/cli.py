@@ -266,7 +266,7 @@ def _cmd_lift(args) -> int:
         if not anns:
             continue
         if image.depth_path is None:
-            raise InputError(f"image {image.id!r} has no depth_path")
+            raise InputError(f"{args.dataset}: image {image.id!r} has no depth_path")
         depth_file = os.path.join(args.depth_dir, image.depth_path)
         inst_file = os.path.join(args.masks_dir, f"{image.id}.wd3i")
         if not os.path.exists(depth_file):

@@ -206,11 +206,6 @@ class DatasetFile:
         return {im.id: im for im in self.images}
 
 
-def _check(cond: bool, what: str):
-    if not cond:
-        raise ValueError(what)
-
-
 def _finite(values) -> bool:
     return all(map(math.isfinite, values))
 
@@ -220,45 +215,55 @@ def validate_dataset(ds: DatasetFile):
     seen = set()
     for im in ds.images:
         name = f"image {im.id!r}"
-        _check(im.id not in seen, f"{name}: duplicate id")
+        if im.id in seen:
+            raise ValueError(f"{name}: duplicate id")
         seen.add(im.id)
-        _check(im.width > 0 and im.height > 0, f"{name}: non-positive size")
-        _check(_finite((im.fx, im.fy, im.cx, im.cy)), f"{name}: non-finite intrinsics")
-        _check(im.fx > 0 and im.fy > 0, f"{name}: non-positive focal length")
+        if not (im.width > 0 and im.height > 0):
+            raise ValueError(f"{name}: non-positive size")
+        if not _finite((im.fx, im.fy, im.cx, im.cy)):
+            raise ValueError(f"{name}: non-finite intrinsics")
+        if not (im.fx > 0 and im.fy > 0):
+            raise ValueError(f"{name}: non-positive focal length")
     ann_seen = set()
     for a in ds.annotations:
         name = f"annotation {a.id!r}"
-        _check(a.id not in ann_seen, f"{name}: duplicate id")
+        if a.id in ann_seen:
+            raise ValueError(f"{name}: duplicate id")
         ann_seen.add(a.id)
-        _check(a.image_id in seen, f"{name}: references missing image {a.image_id!r}")
-        _check(len(a.box2d) == 4, f"{name}: box2d has {len(a.box2d)} values, expected 4")
-        _check(_finite(a.box2d), f"{name}: non-finite box2d")
+        if a.image_id not in seen:
+            raise ValueError(f"{name}: references missing image {a.image_id!r}")
+        if len(a.box2d) != 4:
+            raise ValueError(f"{name}: box2d has {len(a.box2d)} values, expected 4")
+        if not _finite(a.box2d):
+            raise ValueError(f"{name}: non-finite box2d")
         x0, y0, x1, y1 = a.box2d
-        _check(x1 > x0 and y1 > y0, f"{name}: degenerate box2d")
+        if not (x1 > x0 and y1 > y0):
+            raise ValueError(f"{name}: degenerate box2d")
         three_d = (a.center, a.dims, a.quaternion)
-        _check(
-            all(v is not None for v in three_d) or all(v is None for v in three_d),
-            f"{name}: center, dims, quaternion must be present together",
-        )
-        if a.quality is not None:  # every rating is a string
-            _check(a.quality in QUALITY_RATINGS, f"{name}: unknown quality {a.quality!r}")
-        _check(_finite(v for v in (a.s2d, a.s3d) if v is not None), f"{name}: non-finite s2d or s3d")
-        if a.instance is not None:  # a nonzero value of the uint16 instance map
-            _check(
-                isinstance(a.instance, int) and not isinstance(a.instance, bool) and 1 <= a.instance <= 65535,
-                f"{name}: instance must be an integer in 1..65535, got {a.instance!r}",
-            )
+        if not (all(v is not None for v in three_d) or all(v is None for v in three_d)):
+            raise ValueError(f"{name}: center, dims, quaternion must be present together")
+        if a.quality is not None and a.quality not in QUALITY_RATINGS:  # every rating is a string
+            raise ValueError(f"{name}: unknown quality {a.quality!r}")
+        if not _finite(v for v in (a.s2d, a.s3d) if v is not None):
+            raise ValueError(f"{name}: non-finite s2d or s3d")
+        # instance is a nonzero value of the uint16 instance map
+        if a.instance is not None and not (
+            isinstance(a.instance, int) and not isinstance(a.instance, bool) and 1 <= a.instance <= 65535
+        ):
+            raise ValueError(f"{name}: instance must be an integer in 1..65535, got {a.instance!r}")
         if a.has_3d:
-            _check(len(a.center) == 3 and len(a.dims) == 3 and len(a.quaternion) == 4, f"{name}: bad 3D field shapes")
-            _check(_finite((*a.center, *a.dims, *a.quaternion)), f"{name}: non-finite center, dims or quaternion")
-            _check(all(d > 0 for d in a.dims), f"{name}: non-positive dims")
+            if not (len(a.center) == 3 and len(a.dims) == 3 and len(a.quaternion) == 4):
+                raise ValueError(f"{name}: bad 3D field shapes")
+            if not _finite((*a.center, *a.dims, *a.quaternion)):
+                raise ValueError(f"{name}: non-finite center, dims or quaternion")
+            if not all(d > 0 for d in a.dims):
+                raise ValueError(f"{name}: non-positive dims")
             norm = math.sqrt(sum(q * q for q in a.quaternion))
-            _check(abs(norm - 1.0) <= 1e-6, f"{name}: quaternion norm {norm:.8f} is not 1")
+            if not abs(norm - 1.0) <= 1e-6:
+                raise ValueError(f"{name}: quaternion norm {norm:.8f} is not 1")
         should_ignore = (not a.has_3d) or a.quality == "unacceptable"
-        _check(
-            a.ignore3d == should_ignore,
-            f"{name}: ignore3d must be {should_ignore} given its 3D fields and quality",
-        )
+        if a.ignore3d != should_ignore:
+            raise ValueError(f"{name}: ignore3d must be {should_ignore} given its 3D fields and quality")
 
 
 def _image_to_obj(im: ImageRecord) -> dict:

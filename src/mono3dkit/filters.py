@@ -74,11 +74,13 @@ class SizeSpec:
     fixed_size: bool = True
 
     def __post_init__(self):
-        for lo, hi in (self.shortest, self.middle, self.longest):
+        record = f"category {self.category!r}"
+        for axis in ("shortest", "middle", "longest"):
+            lo, hi = getattr(self, axis)
             if lo > hi:
-                raise ValueError(f"{self.category}: axis bound min {lo} exceeds max {hi}")
+                raise ValueError(f"{record}: {axis}: min {lo} exceeds max {hi}")
         if self.max_depth_ratio <= 0:
-            raise ValueError(f"{self.category}: max_depth_ratio must be positive")
+            raise ValueError(f"{record}: max_depth_ratio must be positive, got {self.max_depth_ratio}")
 
 
 @dataclass(frozen=True)

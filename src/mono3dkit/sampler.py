@@ -4,8 +4,11 @@ Phase 1 greedily covers every category present in the pool. Phase 2 fills
 the split up to the requested size, each step adding the image whose
 inclusion minimizes the L1 deviation of the running depth and source
 distributions from their quotas (depth is measured over annotations, source
-over images). Phase 3 patches categories below the minimum image count, and
-flags the ones the pool cannot support as rare.
+over images). That deviation depends on an image only through its signature,
+its (depth counts, source) pair, so each step scores every distinct signature
+that still has an open image once, not every open image. Phase 3 patches
+categories below the minimum image count, and flags the ones the pool cannot
+support as rare.
 
 Ties at every step break by a seed-determined image order, so results are
 reproducible given (pool, targets, size, seed).
@@ -148,22 +151,37 @@ def sample_eval_split(
         uncovered[has.indices[has.indptr[pick] : has.indptr[pick + 1]]] = 0
     phase1 = int(selected.sum())
 
-    # Phase 2: greedy balanced fill against depth and source quotas.
+    # Phase 2: greedy balanced fill against depth and source quotas. A row's
+    # score depends only on its signature, its (depth counts, source one-hot)
+    # pair, and rows of one signature score bit for bit alike. So each step
+    # scores the live signatures once; each signature queues its open rows in
+    # tie-break order, and the first best row is the lowest queue head among
+    # the signatures within 1e-12 of the best score.
     depth_quota = np.array([targets.depth_quotas[k] for k in depth_keys])
     source_quota = np.array([targets.source_quotas[k] for k in source_keys])
     cur_depth = depth_counts[selected].sum(axis=0)
     cur_source = source_onehot[selected].sum(axis=0)
-    while selected.sum() < min(size, n):
-        open_idx = np.flatnonzero(~selected)
-        cand_depth = cur_depth[None, :] + depth_counts[open_idx]
-        cand_source = cur_source[None, :] + source_onehot[open_idx]
+    signatures, sig_of = np.unique(np.hstack([depth_counts, source_onehot]), axis=0, return_inverse=True)
+    sig_depth, sig_source = np.hsplit(signatures, [len(depth_keys)])
+    open_rows = np.flatnonzero(~selected)
+    queue = open_rows[np.argsort(sig_of[open_rows], kind="stable")]
+    queued = np.bincount(sig_of[open_rows], minlength=len(signatures))
+    end = np.cumsum(queued)
+    head = end - queued
+    for step in range(phase1, min(size, n)):
+        live = np.flatnonzero(head < end)
+        cand_depth = cur_depth[None, :] + sig_depth[live]
+        cand_source = cur_source[None, :] + sig_source[live]
         # Counts are integers, so these float totals are exact.
-        cand_ann = cur_depth.sum() + depth_counts[open_idx].sum(axis=1)
-        cand_img = np.full(open_idx.shape, selected.sum() + 1.0)
+        cand_ann = cur_depth.sum() + sig_depth[live].sum(axis=1)
+        cand_img = np.full(live.shape, step + 1.0)
         score = _l1_deviation(cand_depth, cand_ann, depth_quota) + _l1_deviation(
             cand_source, cand_img, source_quota
         )
-        pick = open_idx[np.argmax(score <= score.min() + 1e-12)]
+        best = live[score <= score.min() + 1e-12]
+        s = best[np.argmin(queue[head[best]])]
+        pick = queue[head[s]]
+        head[s] += 1
         selected[pick] = True
         cur_depth += depth_counts[pick]
         cur_source += source_onehot[pick]

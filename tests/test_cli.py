@@ -602,6 +602,12 @@ def case_lift_integer_depth_path(tmp_path):
     return argv, "image 'im0': depth_path must be a string or null"
 
 
+def case_lift_no_depth_path(tmp_path):
+    argv = small_lift_inputs(tmp_path)
+    edit_first(argv[1], "images", depth_path=None)
+    return argv, f"{argv[1]}: image 'im0' has no depth_path"
+
+
 def case_sample_list_source(tmp_path):
     gt, _ = eval_pair(tmp_path)
     edit_first(gt, "images", source=["x"])
@@ -744,6 +750,7 @@ BAD_INPUT_CASES = [
     case_lift_integer_annotation_id,
     case_sample_integer_category,
     case_lift_integer_depth_path,
+    case_lift_no_depth_path,
     case_sample_list_source,
     case_lift_text_instance,
     case_lift_fractional_instance,

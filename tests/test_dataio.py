@@ -572,6 +572,25 @@ class TestSizeSpecFile:
         with pytest.raises(ValueError, match="specs.json: malformed record"):
             read_size_specs(path)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("shortest", [2.5, 1.0], "shortest: min 2.5 exceeds max 1.0"),
+            ("middle", [0.7, 0.3], "middle: min 0.7 exceeds max 0.3"),
+            ("longest", [4.0, 2.0], "longest: min 4.0 exceeds max 2.0"),
+            ("max_depth_ratio", -1.0, "max_depth_ratio must be positive, got -1.0"),
+            ("max_depth_ratio", 0.0, "max_depth_ratio must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_bound_names_record_and_bound(self, tmp_path, field, value, error):
+        path = str(tmp_path / "specs.json")
+        record = {"category": "car", "shortest": [0.1, 1.0], "middle": [0.1, 1.0], "longest": [0.1, 1.0], "max_depth_ratio": 4.0}
+        record[field] = value
+        atomic_write_text(path, canonical_json({"format": SIZESPEC_FORMAT, "version": 1, "categories": [record]}))
+        with pytest.raises(ValueError) as exc:
+            read_size_specs(path)
+        assert str(exc.value) == f"{path}: malformed record (category 'car': {error})"
+
     def test_duplicate_category_names_it(self, tmp_path):
         path = str(tmp_path / "specs.json")
         first = {"category": "car", "shortest": [1.2, 1.8], "middle": [1.4, 2.0], "longest": [3.5, 5.5], "max_depth_ratio": 4.0}

@@ -394,6 +394,32 @@ def pools(draw):
     return DatasetFile(images=images, annotations=annotations)
 
 
+@st.composite
+def signature_pools(draw):
+    """50-300 images, each a copy of one of at most 6 signatures (a source
+    and 1-3 annotations' depth bands), with categories drawn from 8. Few
+    signatures over many rows run dry during the fill, and cover picks fall
+    inside a signature's row run."""
+    signatures = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["coco", "lvis", "objects365", "webcrawl"]),
+                st.lists(st.sampled_from([None, *BAND_Z]), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    images, annotations = [], []
+    for i in range(draw(st.integers(50, 300))):
+        source, bands = signatures[draw(st.integers(0, len(signatures) - 1))]
+        images.append(make_image(f"im{i:03d}", source=source))
+        for band in bands:
+            category = draw(st.sampled_from("ABCDEFGH"))
+            annotations.append(make_annotation(f"a{len(annotations)}", images[-1].id, category, band=band))
+    return DatasetFile(images=images, annotations=annotations)
+
+
 class TestEqualsParent:
     """The incidence matrix in tie-break order selects exactly what the
     per-image sets and tie ranks did, ties included."""
@@ -404,6 +430,15 @@ class TestEqualsParent:
         targets = SamplerTargets(min_per_category=min_per_category)
         n = len(pool.images)
         for size in (0, n // 2, n + 5):
+            got = sample_eval_split(pool, targets, size=size, seed=seed)
+            assert repr(got) == repr(parent_sample_eval_split(pool, targets, size=size, seed=seed)), size
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(pool=signature_pools(), min_per_category=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2**32 - 1))
+    def test_same_result_on_few_signature_pools(self, pool, min_per_category, seed):
+        targets = SamplerTargets(min_per_category=min_per_category)
+        n = len(pool.images)
+        for size in (0, n // 3, n, n + 5):
             got = sample_eval_split(pool, targets, size=size, seed=seed)
             assert repr(got) == repr(parent_sample_eval_split(pool, targets, size=size, seed=seed)), size
 
