@@ -151,12 +151,11 @@ def sample_eval_split(
         uncovered[has.indices[has.indptr[pick] : has.indptr[pick + 1]]] = 0
     phase1 = int(selected.sum())
 
-    # Phase 2: greedy balanced fill against depth and source quotas. A row's
-    # score depends only on its signature, its (depth counts, source one-hot)
-    # pair, and rows of one signature score bit for bit alike. So each step
-    # scores the live signatures once; each signature queues its open rows in
-    # tie-break order, and the first best row is the lowest queue head among
-    # the signatures within 1e-12 of the best score.
+    # Phase 2: greedy balanced fill against depth and source quotas. Rows of
+    # one signature score bit for bit alike, so each step scores the live
+    # signatures once. Each signature queues its open rows in tie-break
+    # order, so the first best row is the lowest queue head among the
+    # signatures within 1e-12 of the best score.
     depth_quota = np.array([targets.depth_quotas[k] for k in depth_keys])
     source_quota = np.array([targets.source_quotas[k] for k in source_keys])
     cur_depth = depth_counts[selected].sum(axis=0)
@@ -179,9 +178,9 @@ def sample_eval_split(
             cand_source, cand_img, source_quota
         )
         best = live[score <= score.min() + 1e-12]
-        s = best[np.argmin(queue[head[best]])]
-        pick = queue[head[s]]
-        head[s] += 1
+        sig = best[np.argmin(queue[head[best]])]
+        pick = queue[head[sig]]
+        head[sig] += 1
         selected[pick] = True
         cur_depth += depth_counts[pick]
         cur_source += source_onehot[pick]
