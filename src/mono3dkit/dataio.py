@@ -296,17 +296,21 @@ def _annotation_to_obj(a: AnnotationRecord) -> dict:
         if val is not None:
             obj[key] = float(val)
     if a.instance is not None:
-        obj["instance"] = int(a.instance)
+        obj["instance"] = a.instance
     return obj
 
 
 def write_dataset(ds: DatasetFile, path: str):
-    validate_dataset(ds)
+    """Write ``ds`` in canonical form; a record that :func:`read_dataset`
+    would refuse raises ValueError, naming it, before anything is written."""
+    images = [_image_to_obj(im) for im in ds.images]
+    annotations = [_annotation_to_obj(a) for a in ds.annotations]
+    _dataset_of(images, annotations)
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
-        "images": [_image_to_obj(im) for im in sorted(ds.images, key=lambda im: im.id)],
-        "annotations": [_annotation_to_obj(a) for a in sorted(ds.annotations, key=lambda a: a.id)],
+        "images": sorted(images, key=lambda o: o["id"]),
+        "annotations": sorted(annotations, key=lambda o: o["id"]),
     }
     atomic_write_text(path, canonical_json(doc))
 
@@ -389,6 +393,14 @@ def _parse_annotation(obj: dict) -> AnnotationRecord:
     )
 
 
+def _dataset_of(images: list, annotations: list) -> DatasetFile:
+    """The validated records of image and annotation JSON objects: the one
+    schema that reading and writing a dataset share."""
+    ds = DatasetFile([_parse_image(o) for o in images], [_parse_annotation(o) for o in annotations])
+    validate_dataset(ds)
+    return ds
+
+
 def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
     """The record lists ``sections`` (absent ones empty) of the JSON
     document in ``path``.
@@ -430,14 +442,9 @@ def read_dataset(path: str) -> DatasetFile:
     """
     images, annotations = _read_document(path, DATASET_FORMAT, DATASET_VERSION, "images", "annotations")
     try:
-        ds = DatasetFile(
-            images=[_parse_image(o) for o in images],
-            annotations=[_parse_annotation(o) for o in annotations],
-        )
-        validate_dataset(ds)
+        return _dataset_of(images, annotations)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc
-    return ds
 
 
 # ---------------------------------------------------------------------------

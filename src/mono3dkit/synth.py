@@ -28,9 +28,6 @@ _LATERAL_FRACTION = 0.62  # of the half field of view at the box depth
 _YAW_OFFSET_RANGE = (25.0, 65.0)
 _MARGIN_PX = 8.0  # projected silhouettes stay this far inside the image
 _MAX_BOX2D_IOU = 0.3  # largest 2D IoU between two placed boxes' projections
-# Share of the larger box's longest side by which two boxes must be apart,
-# or overlap, for _boxes_overlap to decide without calling iou3d.
-_OVERLAP_MARGIN = 1e-3
 
 
 @dataclass
@@ -135,31 +132,6 @@ def _sample_box(spec: SynthSpec, camera: CameraModel, rng: np.random.Generator) 
     return Box3D(np.array([x, y, z]), dims, matrix_to_quat(yaw_to_matrix(yaw)))
 
 
-def _boxes_overlap(a: Box3D, b: Box3D) -> bool:
-    """``iou3d(a, b) > 0``, decided without calling it when the answer is clear.
-
-    Clearly apart: along a face normal of either box, the boxes' extents
-    leave a gap wider than the margin, so the boxes share no volume.
-    Clearly overlapping: a point on the segment between the centers lies
-    inside both boxes with the margin to spare, so they share a ball of
-    that radius. Pairs in between go to :func:`iou3d`.
-    """
-    margin = _OVERLAP_MARGIN * max(a.dims.max(), b.dims.max())
-    ra, rb = a.rotation, b.rotation
-    ha, hb = a.dims / 2.0, b.dims / 2.0
-    offset = b.center - a.center
-    axes = np.vstack([ra.T, rb.T])
-    gap = np.abs(axes @ offset) - np.abs(axes @ ra) @ ha - np.abs(axes @ rb) @ hb
-    if gap.max() > margin:
-        return False
-    probes = np.linspace(0.0, 1.0, 9)[:, None] * offset  # relative to a's center
-    clear_a = np.min(ha - np.abs(probes @ ra), axis=1)
-    clear_b = np.min(hb - np.abs((probes - offset) @ rb), axis=1)
-    if np.minimum(clear_a, clear_b).max() > margin:
-        return True
-    return iou3d(a, b) > 0.0
-
-
 def _acceptable(box: Box3D, placed, camera: CameraModel) -> bool:
     if box.corners()[:, 2].min() <= 0.5:
         return False
@@ -168,10 +140,12 @@ def _acceptable(box: Box3D, placed, camera: CameraModel) -> bool:
         return False
     if aabb.y1 < _MARGIN_PX or aabb.y2 > camera.height - _MARGIN_PX:
         return False
+    # The 2D test costs far less than iou3d, so it goes first; both only
+    # reject, so their order does not change the result.
     for other in placed:
-        if _boxes_overlap(box, other):
-            return False
         if iou2d(aabb, projected_box2d(other, camera)) > _MAX_BOX2D_IOU:
+            return False
+        if iou3d(box, other) > 0.0:
             return False
     return True
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 
@@ -377,6 +378,23 @@ class TestDatasetRoundtrip:
         with pytest.raises(ValueError):
             write_dataset(bad, path)
         assert not os.path.exists(path)
+
+    @pytest.mark.parametrize(
+        "index, field, value, message",
+        [
+            (None, "width", 640.0, "image 'im1': width must be an integer, got 640.0"),
+            (None, "id", 5, "image 5: id must be a string, got 5"),
+            (None, "source", 3, "image 'im1': source must be a string or null, got 3"),
+            (1, "ignore3d", 1, "annotation 'a0': ignore3d must be true or false, got 1"),
+        ],
+        ids=["width", "id", "source", "ignore3d"],
+    )
+    def test_write_refuses_what_read_refuses(self, tmp_path, index, field, value, message):
+        ds = sample_dataset()
+        setattr(ds.images[0] if index is None else ds.annotations[index], field, value)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset(ds, str(tmp_path / "ds.json"))
+        assert os.listdir(tmp_path) == []
 
     def test_read_rejects_wrong_format(self, tmp_path):
         path = str(tmp_path / "ds.json")

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
+from mono3dkit import geometry
 from mono3dkit import (
     Box2D,
     Box3D,
@@ -24,7 +26,7 @@ from mono3dkit import (
     yaw_of_rotation,
     yaw_to_matrix,
 )
-from mono3dkit.geometry import _MC_CHUNK
+from mono3dkit.geometry import _INSIDE_TOL, _MC_CHUNK, CORNER_SIGNS, _vertices_inside
 
 RNG = np.random.default_rng(20240817)
 
@@ -69,6 +71,13 @@ class TestBox3D:
         assert np.allclose(box.quaternion, [1.0, 0, 0, 0])
         with pytest.raises(ValueError):
             Box3D(np.zeros(3), np.ones(3), np.zeros(4))
+
+    def test_rotation_is_computed_once_and_read_only(self):
+        box = random_box(np.random.default_rng(2))
+        assert box.rotation is box.rotation
+        assert np.array_equal(box.rotation, quat_to_matrix(box.quaternion))
+        with pytest.raises(ValueError, match="read-only"):
+            box.rotation[0, 0] = 2.0
 
 
 class TestRotations:
@@ -288,6 +297,110 @@ class TestIoU3D:
         a2 = Box3D(a.center + shift, a.dims, a.quaternion)
         b2 = Box3D(b.center + shift, b.dims, b.quaternion)
         assert np.isclose(iou3d(a, b), iou3d(a2, b2), atol=1e-9)
+
+
+def parent_intersection_volume(a, b):
+    """intersection_volume without the separating-axis early return: the
+    convex hull of the intersection's vertices for every pair."""
+    ra = a.rotation
+    rot = ra.T @ b.rotation
+    offset = (b.center - a.center) @ ra
+    tol = _INSIDE_TOL * max(a.dims.max(), b.dims.max())
+    in_a = _vertices_inside(CORNER_SIGNS * b.dims @ rot.T + offset, a.dims / 2.0, tol)
+    in_b = _vertices_inside((CORNER_SIGNS * a.dims - offset) @ rot, b.dims / 2.0, tol)
+    points = np.vstack([in_a, in_b @ rot.T + offset])
+    if len(points) < 4:
+        return 0.0
+    try:
+        return float(ConvexHull(points).volume)
+    except QhullError:
+        return 0.0
+
+
+def parent_iou3d(a, b):
+    vi = parent_intersection_volume(a, b)
+    return float(min(1.0, max(0.0, vi / (a.volume + b.volume - vi))))
+
+
+def random_yaw_box(rng, floor_y=None):
+    dims = rng.uniform(0.2, 0.6, size=3)
+    y = floor_y - dims[1] / 2.0 if floor_y is not None else rng.uniform(-0.3, 0.3)
+    center = np.array([rng.uniform(-0.6, 0.6), y, rng.uniform(1.5, 2.5)])
+    return Box3D(center, dims, matrix_to_quat(yaw_to_matrix(rng.uniform(0.0, math.pi))))
+
+
+class TestSeparatedPairs:
+    """``iou3d`` returns the hull's exact result bit for bit, and skips the
+    hull when a face normal separates the boxes by more than ``2 * tol``."""
+
+    @staticmethod
+    def iou_and_hull_built(a, b, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "_vertices_inside", lambda *args: calls.append(1) or _vertices_inside(*args))
+        got = iou3d(a, b)
+        monkeypatch.undo()
+        assert got.hex() == parent_iou3d(a, b).hex()
+        return got, bool(calls)
+
+    @staticmethod
+    def face_normal_gap(a, b):
+        """Largest gap between the boxes' extents along the six face normals."""
+        axes = np.vstack([a.rotation.T, b.rotation.T])
+        offset = b.center - a.center
+        reach = np.abs(axes @ a.rotation) @ (a.dims / 2.0) + np.abs(axes @ b.rotation) @ (b.dims / 2.0)
+        return float(np.max(np.abs(axes @ offset) - reach))
+
+    def test_random_pairs(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        seen = {"skipped": 0, "hull": 0, "overlap": 0}
+        for k in range(400):
+            floor = 1.2 if k % 2 else None
+            a, b = random_yaw_box(rng, floor), random_yaw_box(rng, floor)
+            if k % 5 == 0:  # general rotations too
+                b = Box3D(b.center, b.dims, random_quaternion(rng))
+            got, built = self.iou_and_hull_built(a, b, monkeypatch)
+            tol = _INSIDE_TOL * max(a.dims.max(), b.dims.max())
+            assert built == (self.face_normal_gap(a, b) <= 2 * tol)
+            seen["hull" if built else "skipped"] += 1
+            seen["overlap"] += got > 0.0
+        assert min(seen.values()) > 20, seen
+
+    # In units of the box scale; tol is 5e-10 of it. The gaps 2.5e-10,
+    # 7.5e-10 and 1.5e-9 are 0.5, 1.5 and 3 tol: the first two still build
+    # the hull, the last is past the early return's 2 * tol.
+    NEAR_CONTACT_GAPS = [-0.01, -1e-4, -1e-7, 0.0, 2.5e-10, 7.5e-10, 1.5e-9, 1e-7, 1e-4, 0.01]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("gap", NEAR_CONTACT_GAPS)
+    def test_near_contact(self, gap, axis, scale, monkeypatch):
+        dims = np.array([0.4, 0.3, 0.5]) * scale
+        side = np.full(3, 0.05 * scale)  # a shift along the other two axes
+        side[axis] = dims[axis] + gap * scale
+        a = Box3D(np.array([0.0, 0.0, 2.0]) * scale, dims, [1.0, 0.0, 0.0, 0.0])
+        b = a.translated(side)
+        got, built = self.iou_and_hull_built(a, b, monkeypatch)
+        assert built == (gap <= 1e-9)
+        if gap < 0.0:
+            assert got > 0.0
+        elif gap == 0.0 or gap > 1e-9:
+            assert got == 0.0
+
+    @pytest.mark.parametrize("gap", NEAR_CONTACT_GAPS)
+    def test_near_contact_with_general_rotation(self, gap, monkeypatch):
+        # b turned at random, moved along one of a's face normals until its
+        # extent ends ``gap`` beyond a's face. A negative gap need not make
+        # the boxes overlap: b's deepest corner can pass beside a.
+        rng = np.random.default_rng(3)
+        for k in range(30):
+            a = random_box(rng, center_scale=1.0, dim_range=(0.2, 0.6))
+            b = Box3D(np.zeros(3), rng.uniform(0.2, 0.6, 3), random_quaternion(rng))
+            normal = a.rotation[:, k % 3]
+            reach = a.dims[k % 3] / 2.0 + np.abs(normal @ b.rotation) @ (b.dims / 2.0)
+            b = b.translated(a.center + normal * (reach + gap))
+            got, built = self.iou_and_hull_built(a, b, monkeypatch)
+            if gap > 2e-9:  # tol is at most 6e-10 here
+                assert not built and got == 0.0
 
 
 class TestNormalizeRotation:

@@ -332,44 +332,3 @@ class TestWindowedRender:
                 beyond = (px[:, 0].min() < 0, px[:, 0].max() > 320, px[:, 1].min() < 0, px[:, 1].max() > 240)
                 reached |= {side for side, out in zip("lrtb", beyond) if out}
         assert reached >= {"l", "r", "b"}
-
-
-def random_yaw_box(rng, floor_y=None):
-    dims = rng.uniform(0.2, 0.6, size=3)
-    y = floor_y - dims[1] / 2.0 if floor_y is not None else rng.uniform(-0.3, 0.3)
-    center = np.array([rng.uniform(-0.6, 0.6), y, rng.uniform(1.5, 2.5)])
-    return Box3D(center, dims, yaw_quat(rng.uniform(0.0, math.pi)))
-
-
-class TestBoxesOverlap:
-    """The placement test's overlap decision equals exact ``iou3d > 0``."""
-
-    def decide(self, a, b, monkeypatch):
-        exact = []
-        monkeypatch.setattr(synth, "iou3d", lambda p, q: exact.append(1) or iou3d(p, q))
-        return synth._boxes_overlap(a, b), bool(exact)
-
-    def test_random_pairs(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        decided = {True: 0, False: 0}
-        for k in range(400):
-            floor = 1.2 if k % 2 else None
-            a, b = random_yaw_box(rng, floor), random_yaw_box(rng, floor)
-            if k % 5 == 0:  # general rotations too
-                b = Box3D(b.center, b.dims, random_quaternion(rng))
-            got, exact = self.decide(a, b, monkeypatch)
-            assert got == (iou3d(a, b) > 0.0)
-            if not exact:
-                decided[got] += 1
-        assert decided[True] > 20 and decided[False] > 20
-
-    @pytest.mark.parametrize("gap", [-0.01, -1e-4, -1e-7, 0.0, 1e-7, 1e-4, 0.01])
-    def test_near_contact_goes_to_exact_clipping(self, gap, monkeypatch):
-        a = aa_box([0.0, 0.0, 2.0], [0.4, 0.3, 0.5])
-        b = aa_box([0.4 + gap, 0.05, 2.1], [0.4, 0.3, 0.5])
-        got, exact = self.decide(a, b, monkeypatch)
-        assert got == (iou3d(a, b) > 0.0)
-        # The margin is 1e-3 of the longest side, 0.5 m.
-        assert exact == (abs(gap) < 5e-4)
-        if not exact:
-            assert got == (gap < 0)
