@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,9 @@ SCORE_FLOOR = 0.05
 MAX_PER_IMAGE = 100
 _IGNORE_IOU2D = 0.5
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
+# A recall level r is reached by the first recall >= r - 1e-12.
+_RECALL_CUTS = _RECALL_GRID - 1e-12
+_OUTCOME_KINDS = ("tp", "fp", "neutral")
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,9 @@ class Detection:
     s2d: float
     s3d: float
 
-    @property
+    @cached_property
     def score(self) -> float:
+        """The fused ranking score, computed once per detection."""
         return fuse_score(self.s2d, self.s3d)
 
 
@@ -227,35 +232,30 @@ def average_precision(outcomes, n_gt: int) -> float:
     """101-point interpolated AP from (score, kind) outcomes.
 
     ``kind`` is "tp", "fp", or "neutral"; neutral entries are skipped in
-    both precision and recall. Zero valid ground truths is the caller's
-    responsibility (such categories are excluded upstream).
+    both precision and recall, and any other kind raises ValueError. An
+    optional third element breaks score ties. Zero valid ground truths is
+    the caller's responsibility (such categories are excluded upstream).
     """
     if n_gt <= 0:
         raise ValueError("average_precision needs at least one valid ground truth")
     ranked = sorted(outcomes, key=lambda o: (-o[0], o[2] if len(o) > 2 else 0))
-    precisions = []
-    recalls = []
-    tp = fp = 0
-    for entry in ranked:
-        kind = entry[1]
-        if kind == "neutral":
-            continue
-        if kind == "tp":
-            tp += 1
-        else:
-            fp += 1
-        precisions.append(tp / (tp + fp))
-        recalls.append(tp / n_gt)
-    if not precisions:
+    kinds = [entry[1] for entry in ranked]
+    unknown = [kind for kind in kinds if kind not in _OUTCOME_KINDS]
+    if unknown:
+        raise ValueError(f"unknown outcome kind {unknown[0]!r}; expected 'tp', 'fp' or 'neutral'")
+    tp = np.cumsum([kind == "tp" for kind in kinds if kind != "neutral"])
+    if not tp.size:
         return 0.0
-    precisions = np.asarray(precisions)
-    recalls = np.asarray(recalls)
-    # Precision envelope: best precision achieved at recall >= r.
-    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    precisions = tp / np.arange(1, tp.size + 1)
+    recalls = tp / n_gt
+    # Precision envelope: best precision achieved at recall >= r. A level
+    # that no recall reaches reads the appended 0.0.
+    envelope = np.append(np.maximum.accumulate(precisions[::-1])[::-1], 0.0)
     ap = 0.0
-    for r in _RECALL_GRID:
-        mask = recalls >= r - 1e-12
-        ap += float(envelope[mask][0]) if mask.any() else 0.0
+    # Summed left to right: np.sum (pairwise) or Python 3.12's compensated
+    # sum() would move the last bits.
+    for value in envelope[np.searchsorted(recalls, _RECALL_CUTS, side="left")].tolist():
+        ap += value
     return ap / len(_RECALL_GRID)
 
 

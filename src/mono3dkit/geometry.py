@@ -104,7 +104,9 @@ class Box3D:
     """Oriented 3D box: center (m), dims (w, h, l) > 0, unit quaternion.
 
     The quaternion is scalar-first and normalized on construction; dims must
-    be strictly positive and finite.
+    be strictly positive and finite. The box keeps read-only copies of its
+    three arrays, so the cached ``rotation`` and ``volume`` cannot go stale
+    and the caller's arrays stay its own.
     """
 
     center: np.ndarray
@@ -112,8 +114,8 @@ class Box3D:
     quaternion: np.ndarray
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        dims = np.asarray(self.dims, dtype=np.float64).reshape(3)
+        center = np.array(self.center, dtype=np.float64).reshape(3)
+        dims = np.array(self.dims, dtype=np.float64).reshape(3)
         quat = np.asarray(self.quaternion, dtype=np.float64).reshape(4)
         if not np.all(np.isfinite(center)):
             raise ValueError("box center must be finite")
@@ -122,9 +124,10 @@ class Box3D:
         norm = float(np.linalg.norm(quat))
         if not math.isfinite(norm) or norm < 1e-9:
             raise ValueError("quaternion has (near-)zero norm")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "quaternion", quat / norm)
+        quat = quat / norm
+        for name, value in (("center", center), ("dims", dims), ("quaternion", quat)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @cached_property
     def rotation(self) -> np.ndarray:
@@ -138,8 +141,9 @@ class Box3D:
         """(8, 3) corner coordinates in camera space."""
         return box_corners(self.center, self.dims, self.rotation)
 
-    @property
+    @cached_property
     def volume(self) -> float:
+        """w * h * l, computed once per box."""
         return float(np.prod(self.dims))
 
     def translated(self, offset) -> "Box3D":

@@ -54,6 +54,17 @@ class TestThresholdSweeps:
         assert DIST_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0)
 
 
+class TestDetectionScore:
+    def test_fused_once_per_detection(self, monkeypatch):
+        fuse, calls = evaluation.fuse_score, []
+        monkeypatch.setattr(evaluation, "fuse_score", lambda s2d, s3d: calls.append(1) or fuse(s2d, s3d))
+        dets = [make_det(center=(0, 0, 5 + k), box2d=(100 + 50 * k, 100, 140 + 50 * k, 200), s2d=0.5 + 0.1 * k)
+                for k in range(3)]
+        evaluate(dets, [make_gt(), make_gt(center=(0, 0, 6), box2d=(150, 100, 190, 200))])
+        assert len(calls) == len(dets)
+        assert dets[2].score == fuse(0.7, 0.6) and len(calls) == len(dets)
+
+
 class TestNms:
     def test_score_floor(self):
         keep = make_det(s2d=0.5, s3d=0.2)
@@ -333,6 +344,91 @@ class TestAveragePrecision:
     def test_requires_ground_truth(self):
         with pytest.raises(ValueError):
             average_precision([(0.9, "tp")], 0)
+
+    @pytest.mark.parametrize("kind", ["TP", None, "true_positive", 1])
+    def test_unknown_kind_is_named(self, kind):
+        outcomes = [(0.9, "tp"), (0.8, kind), (0.7, "fp")]
+        with pytest.raises(ValueError, match=f"unknown outcome kind {kind!r}"):
+            average_precision(outcomes, 2)
+
+
+def parent_average_precision(outcomes, n_gt):
+    """average_precision as a loop over the recall grid: the reference the
+    array code must match bit for bit."""
+    ranked = sorted(outcomes, key=lambda o: (-o[0], o[2] if len(o) > 2 else 0))
+    precisions = []
+    recalls = []
+    tp = fp = 0
+    for entry in ranked:
+        kind = entry[1]
+        if kind == "neutral":
+            continue
+        if kind == "tp":
+            tp += 1
+        else:
+            fp += 1
+        precisions.append(tp / (tp + fp))
+        recalls.append(tp / n_gt)
+    if not precisions:
+        return 0.0
+    precisions = np.asarray(precisions)
+    recalls = np.asarray(recalls)
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    ap = 0.0
+    for r in np.linspace(0.0, 1.0, 101):
+        mask = recalls >= r - 1e-12
+        ap += float(envelope[mask][0]) if mask.any() else 0.0
+    return ap / 101
+
+
+AP_GT_COUNTS = (1, 3, 7, 20, 50, 100)
+
+
+def seeded_outcomes(seed):
+    """One outcome list and its n_gt. Seeds 0, 1 and 2 mod 10 give all-fp,
+    all-neutral and empty lists; the rest mix the kinds, with scores on a
+    coarse grid so that ties are common and the third element decides."""
+    rng = np.random.default_rng(seed)
+    n_gt = AP_GT_COUNTS[seed % len(AP_GT_COUNTS)]
+    shape = seed % 10
+    if shape == 2:
+        return [], n_gt
+    n_tp = 0 if shape in (0, 1) else int(rng.integers(0, n_gt + 1))
+    n_fp = 0 if shape == 1 else int(rng.integers(0, 2 * n_gt + 2))
+    n_neutral = 0 if shape == 0 else int(rng.integers(0, n_gt + 2))
+    kinds = rng.permutation(["tp"] * n_tp + ["fp"] * n_fp + ["neutral"] * n_neutral).tolist()
+    scores = rng.integers(0, 6, size=len(kinds)) / 5.0
+    if seed % 3 == 0:
+        return list(zip(scores.tolist(), kinds)), n_gt
+    keys = [(f"im{int(rng.integers(0, 4))}", rank) for rank in range(len(kinds))]
+    return list(zip(scores.tolist(), kinds, keys)), n_gt
+
+
+class TestAveragePrecisionEqualsParent:
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits(self, seed):
+        outcomes, n_gt = seeded_outcomes(seed)
+        got = average_precision(outcomes, n_gt)
+        assert got.hex() == parent_average_precision(outcomes, n_gt).hex()
+
+    def test_cases_are_covered(self):
+        lists = [seeded_outcomes(seed) for seed in self.SEEDS]
+        kinds = [collections.Counter(o[1] for o in outcomes) for outcomes, _ in lists]
+        assert sum(not outcomes for outcomes, _ in lists) >= 10
+        assert sum(bool(c) and set(c) == {"fp"} for c in kinds) >= 10
+        assert sum(bool(c) and set(c) == {"neutral"} for c in kinds) >= 10
+        # Neutral entries ranked first, last and in between.
+        for position in (0, -1):
+            assert any(outcomes and sorted(outcomes, key=lambda o: -o[0])[position][1] == "neutral"
+                       for outcomes, _ in lists)
+        assert any(len({o[0] for o in outcomes}) < len(outcomes) and len(outcomes[0]) == 3
+                   for outcomes, _ in lists if outcomes)
+        assert {n_gt for _, n_gt in lists} == set(AP_GT_COUNTS)
+        # Full recall lands exactly on the last grid level; partial recall stops short.
+        assert any(c["tp"] == n_gt for c, (_, n_gt) in zip(kinds, lists))
+        assert any(0 < c["tp"] < n_gt for c, (_, n_gt) in zip(kinds, lists))
 
 
 class TestTpErrors:

@@ -79,6 +79,23 @@ class TestBox3D:
         with pytest.raises(ValueError, match="read-only"):
             box.rotation[0, 0] = 2.0
 
+    def test_arrays_are_read_only_copies(self):
+        center, dims, quat = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]), np.array([2.0, 0.0, 0.0, 0.0])
+        box = Box3D(center, dims, quat)
+        for name in ("center", "dims", "quaternion"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(box, name)[0] = 5.0
+        center[0] = dims[0] = quat[0] = 9.0  # the caller's arrays stay writable and its own
+        assert box.center[0] == 1.0 and box.dims[0] == 1.0 and box.quaternion[0] == 1.0
+        assert box.volume == 8.0
+
+    def test_volume_is_computed_once(self, monkeypatch):
+        box = random_box(np.random.default_rng(3))
+        prod, calls = np.prod, []
+        monkeypatch.setattr(np, "prod", lambda *a, **k: calls.append(1) or prod(*a, **k))
+        assert box.volume == box.volume == float(prod(box.dims))
+        assert len(calls) == 1
+
 
 class TestRotations:
     def test_quat_matrix_roundtrip(self):
