@@ -29,7 +29,7 @@ from .lifting import check_grid_size, lift_annotation
 from .sampler import SamplerTargets, sample_eval_split
 from .synth import SynthSpec, synth_scene
 
-__all__ = ["main"]
+__all__ = ["InputError", "detections_from_dataset", "ground_truths_from_dataset", "main"]
 
 
 class InputError(ValueError):

@@ -206,66 +206,6 @@ class DatasetFile:
         return {im.id: im for im in self.images}
 
 
-def _finite(values) -> bool:
-    return all(map(math.isfinite, values))
-
-
-def validate_dataset(ds: DatasetFile):
-    """Schema invariants; error messages name the offending record."""
-    seen = set()
-    for im in ds.images:
-        name = f"image {im.id!r}"
-        if im.id in seen:
-            raise ValueError(f"{name}: duplicate id")
-        seen.add(im.id)
-        if not (im.width > 0 and im.height > 0):
-            raise ValueError(f"{name}: non-positive size")
-        if not _finite((im.fx, im.fy, im.cx, im.cy)):
-            raise ValueError(f"{name}: non-finite intrinsics")
-        if not (im.fx > 0 and im.fy > 0):
-            raise ValueError(f"{name}: non-positive focal length")
-    ann_seen = set()
-    for a in ds.annotations:
-        name = f"annotation {a.id!r}"
-        if a.id in ann_seen:
-            raise ValueError(f"{name}: duplicate id")
-        ann_seen.add(a.id)
-        if a.image_id not in seen:
-            raise ValueError(f"{name}: references missing image {a.image_id!r}")
-        if len(a.box2d) != 4:
-            raise ValueError(f"{name}: box2d has {len(a.box2d)} values, expected 4")
-        if not _finite(a.box2d):
-            raise ValueError(f"{name}: non-finite box2d")
-        x0, y0, x1, y1 = a.box2d
-        if not (x1 > x0 and y1 > y0):
-            raise ValueError(f"{name}: degenerate box2d")
-        three_d = (a.center, a.dims, a.quaternion)
-        if not (all(v is not None for v in three_d) or all(v is None for v in three_d)):
-            raise ValueError(f"{name}: center, dims, quaternion must be present together")
-        if a.quality is not None and a.quality not in QUALITY_RATINGS:  # every rating is a string
-            raise ValueError(f"{name}: unknown quality {a.quality!r}")
-        if not _finite(v for v in (a.s2d, a.s3d) if v is not None):
-            raise ValueError(f"{name}: non-finite s2d or s3d")
-        # instance is a nonzero value of the uint16 instance map
-        if a.instance is not None and not (
-            isinstance(a.instance, int) and not isinstance(a.instance, bool) and 1 <= a.instance <= 65535
-        ):
-            raise ValueError(f"{name}: instance must be an integer in 1..65535, got {a.instance!r}")
-        if a.has_3d:
-            if not (len(a.center) == 3 and len(a.dims) == 3 and len(a.quaternion) == 4):
-                raise ValueError(f"{name}: bad 3D field shapes")
-            if not _finite((*a.center, *a.dims, *a.quaternion)):
-                raise ValueError(f"{name}: non-finite center, dims or quaternion")
-            if not all(d > 0 for d in a.dims):
-                raise ValueError(f"{name}: non-positive dims")
-            norm = math.sqrt(sum(q * q for q in a.quaternion))
-            if not abs(norm - 1.0) <= 1e-6:
-                raise ValueError(f"{name}: quaternion norm {norm:.8f} is not 1")
-        should_ignore = (not a.has_3d) or a.quality == "unacceptable"
-        if a.ignore3d != should_ignore:
-            raise ValueError(f"{name}: ignore3d must be {should_ignore} given its 3D fields and quality")
-
-
 def _image_to_obj(im: ImageRecord) -> dict:
     return {
         "id": im.id,
@@ -279,22 +219,27 @@ def _image_to_obj(im: ImageRecord) -> dict:
 
 
 def _annotation_to_obj(a: AnnotationRecord) -> dict:
-    obj = {
-        "id": a.id,
-        "image_id": a.image_id,
-        "category": a.category,
-        "box2d": [float(v) for v in a.box2d],
-        "ignore3d": a.ignore3d,
-        "quality": a.quality,
-    }
-    if a.has_3d:
-        obj["center"] = [float(v) for v in a.center]
-        obj["dims"] = [float(v) for v in a.dims]
-        obj["quaternion"] = [float(v) for v in a.quaternion]
-    for key in ("s2d", "s3d"):
-        val = getattr(a, key)
-        if val is not None:
-            obj[key] = float(val)
+    """Each 3D field is written when set, so the reader's rules see a
+    partial one; a value that does not convert raises naming the record."""
+    try:
+        obj = {
+            "id": a.id,
+            "image_id": a.image_id,
+            "category": a.category,
+            "box2d": [float(v) for v in a.box2d],
+            "ignore3d": a.ignore3d,
+            "quality": a.quality,
+        }
+        for key in ("center", "dims", "quaternion"):
+            val = getattr(a, key)
+            if val is not None:
+                obj[key] = [float(v) for v in val]
+        for key in ("s2d", "s3d"):
+            val = getattr(a, key)
+            if val is not None:
+                obj[key] = float(val)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"annotation {a.id!r}: {exc}") from exc
     if a.instance is not None:
         obj["instance"] = a.instance
     return obj
@@ -358,10 +303,11 @@ def _field(obj: dict, key: str, kind, record: str, nullable: bool = False):
 
 
 def _parse_image(obj: dict) -> ImageRecord:
+    """One image record: its field kinds, then a positive size and focal length."""
     record = f"image {obj.get('id')!r}: "
     intrinsics = _field(obj, "intrinsics", dict, record)
     intrinsics_record = record + "intrinsics."
-    return ImageRecord(
+    im = ImageRecord(
         id=_field(obj, "id", str, record),
         width=_field(obj, "width", int, record),
         height=_field(obj, "height", int, record),
@@ -373,11 +319,17 @@ def _parse_image(obj: dict) -> ImageRecord:
         source=_field(obj, "source", str, record, nullable=True),
         scene=_field(obj, "scene", str, record, nullable=True),
     )
+    if not (im.width > 0 and im.height > 0):
+        raise ValueError(f"{record}non-positive size")
+    if not (im.fx > 0 and im.fy > 0):
+        raise ValueError(f"{record}non-positive focal length")
+    return im
 
 
 def _parse_annotation(obj: dict) -> AnnotationRecord:
+    """One annotation record: its field kinds, then the rules between them."""
     record = f"annotation {obj.get('id')!r}: "
-    return AnnotationRecord(
+    a = AnnotationRecord(
         id=_field(obj, "id", str, record),
         image_id=_field(obj, "image_id", str, record),
         category=_field(obj, "category", str, record),
@@ -391,14 +343,47 @@ def _parse_annotation(obj: dict) -> AnnotationRecord:
         s3d=_field(obj, "s3d", float, record, nullable=True),
         instance=_field(obj, "instance", int, record, nullable=True),
     )
+    x0, y0, x1, y1 = a.box2d
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"{record}degenerate box2d")
+    if len({v is None for v in (a.center, a.dims, a.quaternion)}) > 1:
+        raise ValueError(f"{record}center, dims, quaternion must be present together")
+    if a.quality is not None and a.quality not in QUALITY_RATINGS:
+        raise ValueError(f"{record}unknown quality {a.quality!r}")
+    # instance is a nonzero value of the uint16 instance map
+    if a.instance is not None and not 1 <= a.instance <= 65535:
+        raise ValueError(f"{record}instance must be an integer in 1..65535, got {a.instance!r}")
+    if a.has_3d:
+        if not all(d > 0 for d in a.dims):
+            raise ValueError(f"{record}non-positive dims")
+        norm = math.sqrt(sum(q * q for q in a.quaternion))
+        if not abs(norm - 1.0) <= 1e-6:
+            raise ValueError(f"{record}quaternion norm {norm:.8f} is not 1")
+    should_ignore = (not a.has_3d) or a.quality == "unacceptable"
+    if a.ignore3d != should_ignore:
+        raise ValueError(f"{record}ignore3d must be {should_ignore} given its 3D fields and quality")
+    return a
 
 
-def _dataset_of(images: list, annotations: list) -> DatasetFile:
-    """The validated records of image and annotation JSON objects: the one
-    schema that reading and writing a dataset share."""
-    ds = DatasetFile([_parse_image(o) for o in images], [_parse_annotation(o) for o in annotations])
-    validate_dataset(ds)
-    return ds
+def _dataset_of(image_objs: list, annotation_objs: list) -> DatasetFile:
+    """The checked records of image and annotation JSON objects: the one
+    schema that reading and writing a dataset share. Each record's own rules
+    are checked as it is parsed; across records, ids must be unique and every
+    annotation's image must exist."""
+    images, annotations = {}, {}
+    for obj in image_objs:
+        im = _parse_image(obj)
+        if im.id in images:
+            raise ValueError(f"image {im.id!r}: duplicate id")
+        images[im.id] = im
+    for obj in annotation_objs:
+        a = _parse_annotation(obj)
+        if a.id in annotations:
+            raise ValueError(f"annotation {a.id!r}: duplicate id")
+        if a.image_id not in images:
+            raise ValueError(f"annotation {a.id!r}: references missing image {a.image_id!r}")
+        annotations[a.id] = a
+    return DatasetFile(list(images.values()), list(annotations.values()))
 
 
 def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
@@ -408,8 +393,8 @@ def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
     Raises:
         ValueError: naming the path, for text that is not JSON, a top
             level that is not an object, another format, a version that is
-            not an integer or is newer than ``version``, or a section that
-            is not a list of objects.
+            not an integer from 1 to ``version``, or a section that is not
+            a list of objects.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -418,7 +403,7 @@ def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} document")
-    if _field(doc, "version", int, f"{path}: ") > version:
+    if not 1 <= _field(doc, "version", int, f"{path}: ") <= version:
         raise ValueError(f"{path}: unsupported version {doc['version']}")
     lists = []
     for section in sections:

@@ -515,6 +515,11 @@ def case_size_spec_future_version(tmp_path):
     return argv, f"{argv[-1]}: unsupported version 99"
 
 
+def case_size_spec_zero_version(tmp_path):
+    argv = size_spec_argv(tmp_path, version=0)
+    return argv, f"{argv[-1]}: unsupported version 0"
+
+
 def case_size_spec_numeric_text_ratio(tmp_path):
     argv = size_spec_argv(tmp_path, max_depth_ratio="1.5")
     return argv, f"{argv[-1]}: malformed record (category 'block': max_depth_ratio must be a finite number, got '1.5')"
@@ -738,6 +743,7 @@ BAD_INPUT_CASES = [
     case_size_spec_text_flag,
     case_size_spec_integer_category,
     case_size_spec_future_version,
+    case_size_spec_zero_version,
     case_size_spec_numeric_text_ratio,
     case_size_spec_duplicate_category,
     case_truncated_depth_payload,
@@ -804,6 +810,8 @@ BAD_INPUT_CASES = [
     case_sample_edit("fractional_version", lambda doc: doc.update(version=1.9), "version must be an integer, got 1.9"),
     case_sample_edit("boolean_version", lambda doc: doc.update(version=True), "version must be an integer, got True"),
     case_sample_edit("missing_version", lambda doc: doc.pop("version"), "version must be an integer, but is missing"),
+    case_sample_edit("zero_version", lambda doc: doc.update(version=0), "unsupported version 0"),
+    case_sample_edit("negative_version", lambda doc: doc.update(version=-3), "unsupported version -3"),
     case_sample_edit("text_annotation", lambda doc: doc.update(annotations=["x"]), "annotations[0] must be an object, got 'x'"),
     case_symmetric_categories_not_text,
     case_flag("--grid-size", "4"),

@@ -1,6 +1,7 @@
 """Dataset files, canonical JSON, binary rasters, and cloud backprojection."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -40,7 +41,6 @@ from mono3dkit.dataio import (
     SIZESPEC_FORMAT,
     atomic_write_bytes,
     atomic_write_text,
-    validate_dataset,
 )
 
 
@@ -212,12 +212,24 @@ class TestRecordHelpers:
 
 
 class TestValidateDataset:
+    """The dataset rules, as ``write_dataset`` applies them before it writes
+    anything; ``read_dataset`` parses with the same code."""
+
+    @pytest.fixture(autouse=True)
+    def out_dir(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def write(self, ds):
+        write_dataset(ds, str(self.tmp_path / "ds.json"))
+
     def test_valid_dataset_passes(self):
-        validate_dataset(sample_dataset())
+        self.write(sample_dataset())
+        assert os.listdir(self.tmp_path) == ["ds.json"]
 
     def check(self, ds, message_part):
-        with pytest.raises(ValueError, match=message_part):
-            validate_dataset(ds)
+        with pytest.raises(ValueError, match=re.escape(message_part)):
+            self.write(ds)
+        assert os.listdir(self.tmp_path) == []
 
     def test_duplicate_image_id(self):
         ds = DatasetFile(images=[make_image("im0"), make_image("im0")])
@@ -254,7 +266,7 @@ class TestValidateDataset:
             images=[make_image("im0")],
             annotations=[make_annotation(center=(0.0, 0.0, 1.0), ignore3d=True)],
         )
-        self.check(ds, "present together")
+        self.check(ds, "annotation 'a0': center, dims, quaternion must be present together")
 
     def test_unknown_quality(self):
         ds = DatasetFile(images=[make_image("im0")], annotations=[full_annotation(quality="great")])
@@ -268,7 +280,7 @@ class TestValidateDataset:
             images=[make_image("im0")],
             annotations=[full_annotation(center=(0.0, 1.0))],
         )
-        self.check(ds, "bad 3D field shapes")
+        self.check(ds, "annotation 'a0': center must be 3 finite numbers or null, got [0.0, 1.0]")
 
     def test_non_positive_dims(self):
         ds = DatasetFile(images=[make_image("im0")], annotations=[full_annotation(dims=(0.5, -1.0, 2.0))])
@@ -276,18 +288,19 @@ class TestValidateDataset:
 
     def test_box2d_length_checked_before_unpacking(self):
         ds = DatasetFile(images=[make_image("im0")], annotations=[make_annotation(box2d=(1.0, 2.0, 3.0), ignore3d=True)])
-        self.check(ds, "annotation 'a0': box2d has 3 values, expected 4")
+        self.check(ds, "annotation 'a0': box2d must be 4 finite numbers, got [1.0, 2.0, 3.0]")
 
     @pytest.mark.parametrize(
         "field, message",
         [
-            ("box2d", "non-finite box2d"),
-            ("center", "non-finite center, dims or quaternion"),
-            ("dims", "non-finite center, dims or quaternion"),
-            ("quaternion", "non-finite center, dims or quaternion"),
-            ("s2d", "non-finite s2d or s3d"),
-            ("s3d", "non-finite s2d or s3d"),
+            ("box2d", "box2d must be 4 finite numbers"),
+            ("center", "center must be 3 finite numbers or null"),
+            ("dims", "dims must be 3 finite numbers or null"),
+            ("quaternion", "quaternion must be 4 finite numbers or null"),
+            ("s2d", "s2d must be a finite number or null"),
+            ("s3d", "s3d must be a finite number or null"),
         ],
+        ids=[f"{field}-non-finite" for field in ("box2d", "center", "dims", "quaternion", "s2d", "s3d")],
     )
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_annotation_fields_name_the_record(self, field, message, bad):
@@ -300,7 +313,7 @@ class TestValidateDataset:
     @pytest.mark.parametrize("key", ["fx", "fy", "cx", "cy"])
     def test_non_finite_intrinsics_name_the_image(self, key):
         ds = DatasetFile(images=[make_image("im3", **{key: math.nan})])
-        self.check(ds, "image 'im3': non-finite intrinsics")
+        self.check(ds, f"image 'im3': intrinsics.{key} must be a finite number, got nan")
 
     def test_non_unit_quaternion(self):
         ds = DatasetFile(
@@ -313,7 +326,7 @@ class TestValidateDataset:
         # norm off by < 1e-6 still validates (serialized values are rounded)
         q = (0.8, 0.0, 0.6 + 4e-7, 0.0)
         ds = DatasetFile(images=[make_image("im0")], annotations=[full_annotation(quaternion=q)])
-        validate_dataset(ds)
+        self.write(ds)
 
     def test_ignore3d_must_be_true_without_geometry(self):
         ds = DatasetFile(images=[make_image("im0")], annotations=[make_annotation(ignore3d=False)])
@@ -393,6 +406,40 @@ class TestDatasetRoundtrip:
         ds = sample_dataset()
         setattr(ds.images[0] if index is None else ds.annotations[index], field, value)
         with pytest.raises(ValueError, match=re.escape(message)):
+            write_dataset(ds, str(tmp_path / "ds.json"))
+        assert os.listdir(tmp_path) == []
+
+    def test_valid_records_write_pinned_bytes(self, tmp_path):
+        path = tmp_path / "ds.json"
+        write_dataset(sample_dataset(), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "e0764a2c93f8df5c0f34b511f827272bb7bbbf2ac8643bb84551edd8f09fb369"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"dims": (1.0, 1.0, 1.0)}, {"center": (0.0, 0.0, 1.0), "dims": (1.0, 1.0, 1.0)}],
+        ids=["dims", "center-dims"],
+    )
+    def test_write_names_a_partial_3d_record(self, tmp_path, fields):
+        ds = DatasetFile(images=[make_image()], annotations=[make_annotation("a3", ignore3d=True, **fields)])
+        with pytest.raises(ValueError, match=re.escape("annotation 'a3': center, dims, quaternion must be present together")):
+            write_dataset(ds, str(tmp_path / "ds.json"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("box2d", (1.0, "x", 30.0, 40.0), "could not convert string to float: 'x'"),
+            ("box2d", None, "'NoneType' object is not iterable"),
+            ("center", (0.0, None, 1.0), "float() argument must be"),
+            ("s2d", "high", "could not convert string to float: 'high'"),
+        ],
+        ids=["box2d-text", "box2d-none", "center-none", "s2d-text"],
+    )
+    def test_write_names_a_value_that_does_not_convert(self, tmp_path, field, value, message):
+        ds = sample_dataset()
+        setattr(ds.annotations[0], field, value)
+        with pytest.raises(ValueError, match=re.escape(f"annotation 'a1': {message}")):
             write_dataset(ds, str(tmp_path / "ds.json"))
         assert os.listdir(tmp_path) == []
 

@@ -123,3 +123,29 @@ def test_unreferenced_definitions_are_seen():
     assert unreferenced_definitions(sources, set()) == ["dead"]
     assert unreferenced_definitions(sources, {"dead"}) == []
     assert {"CameraModel", "evaluate", "iou3d"} <= package_exports()
+
+
+def all_and_definitions(source: str) -> tuple:
+    """``__all__`` of a module text less its own assigned names (its public
+    constants), and its module-level public functions and classes."""
+    listed, assigned, defined = set(), set(), set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            defined.add(top.name)
+        elif isinstance(top, ast.Assign):
+            names = {t.id for t in top.targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                listed = set(ast.literal_eval(top.value))
+            assigned |= names
+    return listed - assigned, defined
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_all_names_the_public_definitions(module):
+    listed, defined = all_and_definitions((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert listed == defined, f"{module}.__all__ lacks {sorted(defined - listed)}, names undefined {sorted(listed - defined)}"
+
+
+def test_all_and_definitions_are_seen():
+    source = "__all__ = ['A', 'f', 'K', 'gone']\nK = 1\nclass A:\n    pass\ndef f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\n"
+    assert all_and_definitions(source) == ({"A", "f", "gone"}, {"A", "f", "g"})

@@ -13,10 +13,11 @@ from mono3dkit import (
     SynthSpec,
     cloud_from_depth,
     iou3d,
+    read_dataset,
     synth_scene,
+    write_dataset,
 )
 from mono3dkit.camera import project
-from mono3dkit.dataio import validate_dataset
 from mono3dkit import synth
 from mono3dkit.geometry import matrix_to_quat, random_quaternion, yaw_to_matrix
 from mono3dkit.synth import ray_box_depths
@@ -216,9 +217,15 @@ class TestSynthScene:
             assert box.center[1] + box.dims[1] / 2.0 == pytest.approx(1.2, abs=1e-12)
             np.testing.assert_allclose(box.rotation[:, 1], [0.0, 1.0, 0.0], atol=1e-12)
 
-    def test_annotations_form_a_valid_dataset(self):
+    def test_annotations_form_a_valid_dataset(self, tmp_path):
         sc = self.scene()
-        validate_dataset(DatasetFile(images=[sc.image], annotations=sc.annotations))
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        write_dataset(DatasetFile(images=[sc.image], annotations=sc.annotations), first)
+        back = read_dataset(first)
+        write_dataset(back, second)
+        assert repr(read_dataset(second)) == repr(back)
+        with open(first, "rb") as f, open(second, "rb") as g:
+            assert f.read() == g.read()
         assert sc.image.id == "synth-000000"
         assert sc.image.source == "synthetic"
         for k, ann in enumerate(sc.annotations):
