@@ -206,51 +206,204 @@ class DatasetFile:
         return {im.id: im for im in self.images}
 
 
-def _image_to_obj(im: ImageRecord) -> dict:
-    return {
-        "id": im.id,
-        "width": im.width,
-        "height": im.height,
-        "intrinsics": {"fx": im.fx, "fy": im.fy, "cx": im.cx, "cy": im.cy},
-        "depth_path": im.depth_path,
-        "source": im.source,
-        "scene": im.scene,
-    }
+# What a field row's ``null`` says about None, and on read about an absent key:
+_REQUIRED = "required"  # never None, never absent
+_NULL = "null"  # null or absent reads as None; None is written as null
+_OMIT = "omit"  # null or absent reads as None; None is left out
+_DEFAULT = "default"  # never None; absent takes the record type's default
+
+# One table of (key, kind, null) rows per record kind. ``kind`` is str, int,
+# bool, float (a finite number, as a float), an int n (a list of n finite
+# numbers, as a tuple of floats) or a table: an object of the record's fields.
+_INTRINSICS_FIELDS = tuple((key, float, _REQUIRED) for key in ("fx", "fy", "cx", "cy"))
+_IMAGE_FIELDS = (
+    ("id", str, _REQUIRED),
+    *[(key, int, _REQUIRED) for key in ("width", "height")],
+    ("intrinsics", _INTRINSICS_FIELDS, _REQUIRED),
+    *[(key, str, _NULL) for key in ("depth_path", "source", "scene")],
+)
+_ANNOTATION_FIELDS = (
+    *[(key, str, _REQUIRED) for key in ("id", "image_id", "category")],
+    ("box2d", 4, _REQUIRED),
+    *[(key, n, _OMIT) for key, n in (("center", 3), ("dims", 3), ("quaternion", 4))],
+    ("ignore3d", bool, _REQUIRED),
+    ("quality", str, _NULL),
+    *[(key, float, _OMIT) for key in ("s2d", "s3d")],
+    ("instance", int, _OMIT),
+)
+_SIZE_SPEC_FIELDS = (
+    ("category", str, _REQUIRED),
+    *[(key, 2, _REQUIRED) for key in ("shortest", "middle", "longest")],
+    ("max_depth_ratio", float, _REQUIRED),
+    *[(key, bool, _DEFAULT) for key in ("is_flat", "is_elongated", "fixed_size")],
+)
+
+_MISSING = object()  # the value of a key the JSON object lacks
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false", dict: "an object"}
 
 
-def _annotation_to_obj(a: AnnotationRecord) -> dict:
-    """Each 3D field is written when set, so the reader's rules see a
-    partial one; a value that does not convert raises naming the record."""
-    try:
-        obj = {
-            "id": a.id,
-            "image_id": a.image_id,
-            "category": a.category,
-            "box2d": [float(v) for v in a.box2d],
-            "ignore3d": a.ignore3d,
-            "quality": a.quality,
-        }
-        for key in ("center", "dims", "quaternion"):
-            val = getattr(a, key)
-            if val is not None:
-                obj[key] = [float(v) for v in val]
-        for key in ("s2d", "s3d"):
-            val = getattr(a, key)
-            if val is not None:
-                obj[key] = float(val)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"annotation {a.id!r}: {exc}") from exc
-    if a.instance is not None:
-        obj["instance"] = a.instance
+def _number(value):
+    """A finite Python or NumPy int or float (not a bool) as a float, else None."""
+    if type(value) is not float:
+        if type(value) is int and abs(value) <= sys.float_info.max or isinstance(value, (np.integer, np.floating)):
+            value = float(value)
+        else:
+            return None
+    return value if math.isfinite(value) else None
+
+
+def _field(value, key: str, kind, null: str, prefix: str):
+    """``value`` of the field ``key``, checked against its row and converted:
+    numbers to floats, lists of numbers to tuples of floats. Nothing else is
+    coerced: bools are neither integers nor numbers.
+
+    Raises:
+        ValueError: ``prefix`` (e.g. ``"image 'im0': "``), then the field,
+            the kind and the value.
+    """
+    if value is None:
+        if null is _NULL or null is _OMIT:
+            return None
+    elif type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float:
+        number = _number(value)
+        if number is not None:
+            return number
+    elif type(kind) is int:
+        if type(value) is np.ndarray:
+            value = value.tolist()
+        if type(value) in (list, tuple) and len(value) == kind:
+            numbers = tuple(map(_number, value))
+            if None not in numbers:
+                return numbers
+    expected = f"{kind} finite numbers" if type(kind) is int else _KINDS[kind]
+    got = "but is missing" if value is _MISSING else f"got {list(value) if type(value) is tuple else value!r}"
+    raise ValueError(f"{prefix}{key} must be {expected}{' or null' if null is _NULL or null is _OMIT else ''}, {got}")
+
+
+def _read_fields(obj: dict, table: tuple, prefix: str, values: dict) -> dict:
+    """``values`` with the fields of the JSON object ``obj`` added by key,
+    each checked against its row of ``table``."""
+    for key, kind, null in table:
+        value = obj.get(key, _MISSING)
+        if value is _MISSING and null is not _REQUIRED:
+            continue
+        if type(kind) is tuple:
+            _read_fields(_field(value, key, dict, null, prefix), kind, f"{prefix}{key}.", values)
+        else:
+            values[key] = _field(value, key, kind, null, prefix)
+    return values
+
+
+def _write_fields(rec, table: tuple, prefix: str, values: dict) -> dict:
+    """The JSON object of the record ``rec``, each field checked against its
+    row of ``table``; ``values`` gets the converted fields by key."""
+    obj = {}
+    for key, kind, null in table:
+        if type(kind) is tuple:
+            obj[key] = _write_fields(rec, kind, f"{prefix}{key}.", values)
+        else:
+            values[key] = value = _field(getattr(rec, key), key, kind, null, prefix)
+            if value is not None or null is not _OMIT:
+                obj[key] = value
     return obj
+
+
+def _image(values: dict) -> ImageRecord:
+    """The image of checked fields, under its rules: positive size and focal length."""
+    im = ImageRecord(**values)
+    if not (im.width > 0 and im.height > 0):
+        raise ValueError(f"image {im.id!r}: non-positive size")
+    if not (im.fx > 0 and im.fy > 0):
+        raise ValueError(f"image {im.id!r}: non-positive focal length")
+    return im
+
+
+def _annotation(values: dict) -> AnnotationRecord:
+    """The annotation of checked fields, under the rules between them."""
+    a = AnnotationRecord(**values)
+    x0, y0, x1, y1 = a.box2d
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError(f"annotation {a.id!r}: degenerate box2d")
+    if len({v is None for v in (a.center, a.dims, a.quaternion)}) > 1:
+        raise ValueError(f"annotation {a.id!r}: center, dims, quaternion must be present together")
+    if a.quality is not None and a.quality not in QUALITY_RATINGS:
+        raise ValueError(f"annotation {a.id!r}: unknown quality {a.quality!r}")
+    # instance is a nonzero value of the uint16 instance map
+    if a.instance is not None and not 1 <= a.instance <= 65535:
+        raise ValueError(f"annotation {a.id!r}: instance must be an integer in 1..65535, got {a.instance!r}")
+    if a.has_3d:
+        if not all(d > 0 for d in a.dims):
+            raise ValueError(f"annotation {a.id!r}: non-positive dims")
+        norm = math.sqrt(sum(q * q for q in a.quaternion))
+        if not abs(norm - 1.0) <= 1e-6:
+            raise ValueError(f"annotation {a.id!r}: quaternion norm {norm:.8f} is not 1")
+    should_ignore = (not a.has_3d) or a.quality == "unacceptable"
+    if a.ignore3d != should_ignore:
+        raise ValueError(f"annotation {a.id!r}: ignore3d must be {should_ignore} given its 3D fields and quality")
+    return a
+
+
+# Record kinds: (name in messages, field table, the typed record of checked
+# fields under its rules). A record is named by its first field.
+_IMAGE = ("image", _IMAGE_FIELDS, _image)
+_ANNOTATION = ("annotation", _ANNOTATION_FIELDS, _annotation)
+_SIZE_SPEC = ("category", _SIZE_SPEC_FIELDS, lambda values: SizeSpec(**values))
+
+
+def _read_record(obj: dict, kind: tuple):
+    """The typed record of the JSON object ``obj`` of kind ``kind``, named only in an error."""
+    name, table, typed = kind
+    try:
+        values = _read_fields(obj, table, "", {})
+    except ValueError as exc:
+        raise ValueError(f"{name} {obj.get(table[0][0])!r}: {exc}") from exc
+    return typed(values)
+
+
+def _write_record(rec, kind: tuple) -> dict:
+    """The JSON object of the record ``rec`` of kind ``kind``, checked as
+    :func:`_read_record` checks what it reads."""
+    name, table, typed = kind
+    values: dict = {}
+    obj = _write_fields(rec, table, f"{name} {getattr(rec, table[0][0])!r}: ", values)
+    typed(values)
+    return obj
+
+
+def _unique(records, kind: tuple) -> dict:
+    """The checked records of kind ``kind`` (an iterable, taken in order) by
+    their first field, which no two may share."""
+    name, table, _ = kind
+    key = table[0][0]
+    out = {}
+    for rec in records:
+        value = getattr(rec, key)
+        if value in out:
+            raise ValueError(f"{name} {value!r}: duplicate {key}")
+        out[value] = rec
+    return out
+
+
+def _dataset_of(images, annotations) -> DatasetFile:
+    """The dataset of checked image and annotation records, under the rules
+    across records: ids are unique and every annotation's image exists."""
+    images, annotations = _unique(images, _IMAGE), _unique(annotations, _ANNOTATION)
+    for a in annotations.values():
+        if a.image_id not in images:
+            raise ValueError(f"annotation {a.id!r}: references missing image {a.image_id!r}")
+    return DatasetFile(list(images.values()), list(annotations.values()))
 
 
 def write_dataset(ds: DatasetFile, path: str):
     """Write ``ds`` in canonical form; a record that :func:`read_dataset`
     would refuse raises ValueError, naming it, before anything is written."""
-    images = [_image_to_obj(im) for im in ds.images]
-    annotations = [_annotation_to_obj(a) for a in ds.annotations]
-    _dataset_of(images, annotations)
+    images = [_write_record(im, _IMAGE) for im in ds.images]
+    annotations = [_write_record(a, _ANNOTATION) for a in ds.annotations]
+    # a string converts to itself, so the given records carry the checked ids
+    _dataset_of(ds.images, ds.annotations)
     doc = {
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
@@ -258,132 +411,6 @@ def write_dataset(ds: DatasetFile, path: str):
         "annotations": sorted(annotations, key=lambda o: o["id"]),
     }
     atomic_write_text(path, canonical_json(doc))
-
-
-_KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false", dict: "an object"}
-
-
-def _number(value):
-    """A finite JSON number (bools are not numbers) as a float, else None."""
-    if type(value) is int and abs(value) <= sys.float_info.max:
-        value = float(value)
-    return value if type(value) is float and math.isfinite(value) else None
-
-
-def _field(obj: dict, key: str, kind, record: str, nullable: bool = False):
-    """``obj[key]``, checked to be of one JSON kind; nothing is coerced.
-
-    ``kind`` is ``str``, ``int``, ``float`` (a finite number, returned as a
-    float), ``bool``, ``dict`` or an int ``n``: a list of n finite numbers,
-    returned as a tuple of floats. Bools are neither integers nor numbers.
-    A ``nullable`` field that is null or absent reads as None.
-
-    Raises:
-        ValueError: ``record``, the message's lead naming the record (e.g.
-            ``"image 'im0': "``), then the field, the kind and the value.
-    """
-    value = obj.get(key)
-    if value is None:
-        if nullable:
-            return None
-    elif kind is float:
-        number = _number(value)
-        if number is not None:
-            return number
-    elif type(kind) is int:
-        if type(value) is list and len(value) == kind:
-            numbers = tuple(map(_number, value))
-            if None not in numbers:
-                return numbers
-    elif type(value) is kind:
-        return value
-    expected = f"{kind} finite numbers" if type(kind) is int else _KINDS[kind]
-    got = f"got {value!r}" if key in obj else "but is missing"
-    raise ValueError(f"{record}{key} must be {expected}{' or null' if nullable else ''}, {got}")
-
-
-def _parse_image(obj: dict) -> ImageRecord:
-    """One image record: its field kinds, then a positive size and focal length."""
-    record = f"image {obj.get('id')!r}: "
-    intrinsics = _field(obj, "intrinsics", dict, record)
-    intrinsics_record = record + "intrinsics."
-    im = ImageRecord(
-        id=_field(obj, "id", str, record),
-        width=_field(obj, "width", int, record),
-        height=_field(obj, "height", int, record),
-        fx=_field(intrinsics, "fx", float, intrinsics_record),
-        fy=_field(intrinsics, "fy", float, intrinsics_record),
-        cx=_field(intrinsics, "cx", float, intrinsics_record),
-        cy=_field(intrinsics, "cy", float, intrinsics_record),
-        depth_path=_field(obj, "depth_path", str, record, nullable=True),
-        source=_field(obj, "source", str, record, nullable=True),
-        scene=_field(obj, "scene", str, record, nullable=True),
-    )
-    if not (im.width > 0 and im.height > 0):
-        raise ValueError(f"{record}non-positive size")
-    if not (im.fx > 0 and im.fy > 0):
-        raise ValueError(f"{record}non-positive focal length")
-    return im
-
-
-def _parse_annotation(obj: dict) -> AnnotationRecord:
-    """One annotation record: its field kinds, then the rules between them."""
-    record = f"annotation {obj.get('id')!r}: "
-    a = AnnotationRecord(
-        id=_field(obj, "id", str, record),
-        image_id=_field(obj, "image_id", str, record),
-        category=_field(obj, "category", str, record),
-        box2d=_field(obj, "box2d", 4, record),
-        center=_field(obj, "center", 3, record, nullable=True),
-        dims=_field(obj, "dims", 3, record, nullable=True),
-        quaternion=_field(obj, "quaternion", 4, record, nullable=True),
-        ignore3d=_field(obj, "ignore3d", bool, record),
-        quality=_field(obj, "quality", str, record, nullable=True),
-        s2d=_field(obj, "s2d", float, record, nullable=True),
-        s3d=_field(obj, "s3d", float, record, nullable=True),
-        instance=_field(obj, "instance", int, record, nullable=True),
-    )
-    x0, y0, x1, y1 = a.box2d
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError(f"{record}degenerate box2d")
-    if len({v is None for v in (a.center, a.dims, a.quaternion)}) > 1:
-        raise ValueError(f"{record}center, dims, quaternion must be present together")
-    if a.quality is not None and a.quality not in QUALITY_RATINGS:
-        raise ValueError(f"{record}unknown quality {a.quality!r}")
-    # instance is a nonzero value of the uint16 instance map
-    if a.instance is not None and not 1 <= a.instance <= 65535:
-        raise ValueError(f"{record}instance must be an integer in 1..65535, got {a.instance!r}")
-    if a.has_3d:
-        if not all(d > 0 for d in a.dims):
-            raise ValueError(f"{record}non-positive dims")
-        norm = math.sqrt(sum(q * q for q in a.quaternion))
-        if not abs(norm - 1.0) <= 1e-6:
-            raise ValueError(f"{record}quaternion norm {norm:.8f} is not 1")
-    should_ignore = (not a.has_3d) or a.quality == "unacceptable"
-    if a.ignore3d != should_ignore:
-        raise ValueError(f"{record}ignore3d must be {should_ignore} given its 3D fields and quality")
-    return a
-
-
-def _dataset_of(image_objs: list, annotation_objs: list) -> DatasetFile:
-    """The checked records of image and annotation JSON objects: the one
-    schema that reading and writing a dataset share. Each record's own rules
-    are checked as it is parsed; across records, ids must be unique and every
-    annotation's image must exist."""
-    images, annotations = {}, {}
-    for obj in image_objs:
-        im = _parse_image(obj)
-        if im.id in images:
-            raise ValueError(f"image {im.id!r}: duplicate id")
-        images[im.id] = im
-    for obj in annotation_objs:
-        a = _parse_annotation(obj)
-        if a.id in annotations:
-            raise ValueError(f"annotation {a.id!r}: duplicate id")
-        if a.image_id not in images:
-            raise ValueError(f"annotation {a.id!r}: references missing image {a.image_id!r}")
-        annotations[a.id] = a
-    return DatasetFile(list(images.values()), list(annotations.values()))
 
 
 def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
@@ -403,7 +430,7 @@ def _read_document(path: str, fmt: str, version: int, *sections: str) -> list:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValueError(f"{path}: not a {fmt} document")
-    if not 1 <= _field(doc, "version", int, f"{path}: ") <= version:
+    if not 1 <= _field(doc.get("version", _MISSING), "version", int, _REQUIRED, f"{path}: ") <= version:
         raise ValueError(f"{path}: unsupported version {doc['version']}")
     lists = []
     for section in sections:
@@ -427,7 +454,9 @@ def read_dataset(path: str) -> DatasetFile:
     """
     images, annotations = _read_document(path, DATASET_FORMAT, DATASET_VERSION, "images", "annotations")
     try:
-        return _dataset_of(images, annotations)
+        return _dataset_of(
+            (_read_record(obj, _IMAGE) for obj in images), (_read_record(obj, _ANNOTATION) for obj in annotations)
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc
 
@@ -496,42 +525,18 @@ def read_instance_map(path: str) -> np.ndarray:
 
 
 def write_size_specs(specs: dict, path: str):
-    """dict of category -> SizeSpec, one record per category."""
-    records = []
-    for name in sorted(specs):
-        s = specs[name]
-        records.append(
-            {
-                "category": name,
-                "shortest": list(s.shortest),
-                "middle": list(s.middle),
-                "longest": list(s.longest),
-                "max_depth_ratio": s.max_depth_ratio,
-                "is_flat": s.is_flat,
-                "is_elongated": s.is_elongated,
-                "fixed_size": s.fixed_size,
-            }
-        )
-    doc = {"format": SIZESPEC_FORMAT, "version": SIZESPEC_VERSION, "categories": records}
+    """One record per SizeSpec of ``specs`` (category -> SizeSpec), by
+    category; a spec that :func:`read_size_specs` would refuse raises
+    ValueError, naming it, before anything is written."""
+    categories = [_write_record(spec, _SIZE_SPEC) for spec in specs.values()]
+    _unique(specs.values(), _SIZE_SPEC)
+    categories.sort(key=lambda o: o["category"])
+    doc = {"format": SIZESPEC_FORMAT, "version": SIZESPEC_VERSION, "categories": categories}
     atomic_write_text(path, canonical_json(doc))
 
 
-def _parse_size_spec(obj: dict) -> SizeSpec:
-    """One size-spec record; an absent flag takes its ``SizeSpec`` default."""
-    record = f"category {obj.get('category')!r}: "
-    flags = {key: _field(obj, key, bool, record) for key in ("is_flat", "is_elongated", "fixed_size") if key in obj}
-    return SizeSpec(
-        category=_field(obj, "category", str, record),
-        shortest=_field(obj, "shortest", 2, record),
-        middle=_field(obj, "middle", 2, record),
-        longest=_field(obj, "longest", 2, record),
-        max_depth_ratio=_field(obj, "max_depth_ratio", float, record),
-        **flags,
-    )
-
-
 def read_size_specs(path: str) -> dict:
-    """dict of category -> SizeSpec.
+    """dict of category -> SizeSpec; an absent flag takes its default.
 
     Raises:
         ValueError: naming the path, for a document of another format or
@@ -539,16 +544,10 @@ def read_size_specs(path: str) -> dict:
             twice; a record's error names the category and the field.
     """
     (records,) = _read_document(path, SIZESPEC_FORMAT, SIZESPEC_VERSION, "categories")
-    out = {}
     try:
-        for obj in records:
-            spec = _parse_size_spec(obj)
-            if spec.category in out:
-                raise ValueError(f"category {spec.category!r}: duplicate category")
-            out[spec.category] = spec
+        return _unique((_read_record(obj, _SIZE_SPEC) for obj in records), _SIZE_SPEC)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed record ({exc})") from exc
-    return out
 
 
 # ---------------------------------------------------------------------------

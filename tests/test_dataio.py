@@ -9,6 +9,8 @@ import os
 import re
 import struct
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mono3dkit import (
     CameraModel,
     DatasetFile,
     ImageRecord,
+    SamplerTargets,
     SizeSpec,
     canonical_json,
     cloud_from_depth,
@@ -28,6 +31,7 @@ from mono3dkit import (
     read_depth,
     read_instance_map,
     read_size_specs,
+    sample_eval_split,
     write_dataset,
     write_depth,
     write_instance_map,
@@ -36,6 +40,9 @@ from mono3dkit import (
 from mono3dkit.camera import backproject
 from mono3dkit.cli import detections_from_dataset, ground_truths_from_dataset, main
 from mono3dkit.dataio import (
+    _ANNOTATION_FIELDS,
+    _IMAGE_FIELDS,
+    _SIZE_SPEC_FIELDS,
     DATASET_FORMAT,
     QUALITY_RATINGS,
     SIZESPEC_FORMAT,
@@ -344,6 +351,9 @@ class TestValidateDataset:
         self.check(ds, "ignore3d must be False")
 
 
+SAMPLE_DATASET_SHA256 = "e0764a2c93f8df5c0f34b511f827272bb7bbbf2ac8643bb84551edd8f09fb369"
+
+
 class TestDatasetRoundtrip:
     def test_records_survive(self, tmp_path):
         path = str(tmp_path / "ds.json")
@@ -399,8 +409,11 @@ class TestDatasetRoundtrip:
             (None, "id", 5, "image 5: id must be a string, got 5"),
             (None, "source", 3, "image 'im1': source must be a string or null, got 3"),
             (1, "ignore3d", 1, "annotation 'a0': ignore3d must be true or false, got 1"),
+            (0, "box2d", "1234", "annotation 'a1': box2d must be 4 finite numbers, got '1234'"),
+            (0, "s2d", True, "annotation 'a1': s2d must be a finite number or null, got True"),
+            (0, "ignore3d", np.True_, "annotation 'a1': ignore3d must be true or false, got np.True_"),
         ],
-        ids=["width", "id", "source", "ignore3d"],
+        ids=["width", "id", "source", "ignore3d", "box2d-text", "s2d-bool", "ignore3d-numpy-bool"],
     )
     def test_write_refuses_what_read_refuses(self, tmp_path, index, field, value, message):
         ds = sample_dataset()
@@ -413,7 +426,28 @@ class TestDatasetRoundtrip:
         path = tmp_path / "ds.json"
         write_dataset(sample_dataset(), str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "e0764a2c93f8df5c0f34b511f827272bb7bbbf2ac8643bb84551edd8f09fb369"
+        assert digest == SAMPLE_DATASET_SHA256
+
+    def test_numpy_reals_write_as_floats(self, tmp_path):
+        path = tmp_path / "ds.json"
+        ds = sample_dataset()
+        ds.annotations[0].box2d = np.array(ds.annotations[0].box2d, dtype=np.float32)
+        ds.annotations[0].s3d = np.float64(ds.annotations[0].s3d)
+        write_dataset(ds, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_DATASET_SHA256
+        a1 = next(a for a in read_dataset(str(path)).annotations if a.id == "a1")
+        assert repr((a1.box2d, a1.s3d)) == "((10.0, 20.0, 110.0, 120.0), 0.5)"
+
+    def test_equal_records_write_equal_bytes(self, tmp_path):
+        ints = DatasetFile(
+            images=[make_image(fx=500, fy=500, cx=320, cy=240)],
+            annotations=[make_annotation(box2d=(10, 20, 110, 120), ignore3d=True, s2d=1)],
+        )
+        floats = DatasetFile(images=[make_image()], annotations=[make_annotation(ignore3d=True, s2d=1.0)])
+        assert ints == floats
+        write_dataset(ints, str(tmp_path / "ints.json"))
+        write_dataset(floats, str(tmp_path / "floats.json"))
+        assert (tmp_path / "ints.json").read_bytes() == (tmp_path / "floats.json").read_bytes()
 
     @pytest.mark.parametrize(
         "fields",
@@ -429,10 +463,10 @@ class TestDatasetRoundtrip:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("box2d", (1.0, "x", 30.0, 40.0), "could not convert string to float: 'x'"),
-            ("box2d", None, "'NoneType' object is not iterable"),
-            ("center", (0.0, None, 1.0), "float() argument must be"),
-            ("s2d", "high", "could not convert string to float: 'high'"),
+            ("box2d", (1.0, "x", 30.0, 40.0), "box2d must be 4 finite numbers, got [1.0, 'x', 30.0, 40.0]"),
+            ("box2d", None, "box2d must be 4 finite numbers, got None"),
+            ("center", (0.0, None, 1.0), "center must be 3 finite numbers or null, got [0.0, None, 1.0]"),
+            ("s2d", "high", "s2d must be a finite number or null, got 'high'"),
         ],
         ids=["box2d-text", "box2d-none", "center-none", "s2d-text"],
     )
@@ -491,6 +525,43 @@ class TestDatasetRoundtrip:
         atomic_write_text(path, canonical_json(doc))
         with pytest.raises(ValueError, match="missing image"):
             read_dataset(path)
+
+
+def small_pool(n_images=300, seed=0):
+    """A pool for the sampler: images of three sources, each with one to
+    three annotations of 40 categories across the depth bands, some 2D-only."""
+    rng = np.random.default_rng(seed)
+    images, annotations = [], []
+    for i in range(n_images):
+        source = ("coco", "lvis", "objects365")[rng.integers(3)]
+        images.append(make_image(f"im{i:04d}", source=source))
+        for k in range(rng.integers(1, 4)):
+            category = f"cat{rng.integers(40):02d}"
+            if rng.random() < 0.2:
+                annotations.append(make_annotation(f"a{i:04d}-{k}", f"im{i:04d}", category=category, ignore3d=True))
+            else:
+                z = float(rng.choice([5.0, 20.0, 50.0, 120.0]))
+                fields = dict(center=(0.0, 0.0, z), s2d=None, s3d=None, instance=None)
+                annotations.append(full_annotation(f"a{i:04d}-{k}", f"im{i:04d}", category=category, **fields))
+    return DatasetFile(images=images, annotations=annotations)
+
+
+class TestRecordOrderInvariance:
+    def test_shuffled_records_read_to_the_same_split_and_bytes(self, tmp_path):
+        path = tmp_path / "pool.json"
+        write_dataset(small_pool(), str(path))
+        split = sample_eval_split(read_dataset(str(path)), SamplerTargets(), size=60, seed=3)
+        doc = json.loads(path.read_text())
+        rng = np.random.default_rng(1)
+        for k in range(3):
+            shuffled_path = tmp_path / f"shuffled{k}.json"
+            for section in ("images", "annotations"):
+                doc[section] = [doc[section][i] for i in rng.permutation(len(doc[section]))]
+            shuffled_path.write_text(json.dumps(doc))
+            shuffled = read_dataset(str(shuffled_path))
+            assert sample_eval_split(shuffled, SamplerTargets(), size=60, seed=3) == split
+            write_dataset(shuffled, str(shuffled_path))
+            assert shuffled_path.read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +664,52 @@ class TestInstanceRaster:
                 write_instance_map(str(tmp_path / "i"), arr)
 
 
+RASTERS = {
+    "depth": (write_depth, read_depth, np.arange(1.0, 7.0).reshape(2, 3)),
+    "instance": (write_instance_map, read_instance_map, np.array([[0, 1, 2], [65535, 4, 0]])),
+}
+# A mutation of a raster file: cut it to a length, flip one bit, or set one header byte.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 37)),
+    st.tuples(st.just("flip"), st.integers(0, 8 * 38 - 1)),
+    st.tuples(st.just("header"), st.integers(0, 13), st.integers(0, 255)),
+)
+
+
+class TestRasterFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(raster=st.sampled_from(sorted(RASTERS)), mutation=MUTATIONS)
+    def test_mutated_raster_reads_or_is_named(self, raster, mutation):
+        write, read, array = RASTERS[raster]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, f"r.{raster}")
+            write(path, array)
+            blob = bytearray(open(path, "rb").read())
+            if mutation[0] == "truncate":
+                blob = blob[: mutation[1]]
+            elif mutation[0] == "flip":
+                position = mutation[1] // 8 % len(blob)
+                blob[position] ^= 1 << mutation[1] % 8
+            else:
+                blob[mutation[1]] = mutation[2]
+            atomic_write_bytes(path, bytes(blob))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    got = read(path)
+                except ValueError as exc:
+                    assert str(exc).startswith(f"{path}: ")
+                else:
+                    width, height = struct.unpack("<II", blob[6:14])
+                    assert type(got) is np.ndarray and got.shape == (height, width)
+
+
 # ---------------------------------------------------------------------------
 # Size-spec files
 # ---------------------------------------------------------------------------
+
+
+CAR_SPEC = dict(category="car", shortest=(1.2, 1.8), middle=(1.4, 2.0), longest=(3.5, 5.5), max_depth_ratio=4.0)
 
 
 class TestSizeSpecFile:
@@ -655,6 +769,35 @@ class TestSizeSpecFile:
         with pytest.raises(ValueError) as exc:
             read_size_specs(path)
         assert str(exc.value) == f"{path}: malformed record (category 'car': {error})"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("is_flat", 1, "category 'car': is_flat must be true or false, got 1"),
+            ("shortest", ("0.1", "0.2"), "category 'car': shortest must be 2 finite numbers, got ['0.1', '0.2']"),
+            ("max_depth_ratio", True, "category 'car': max_depth_ratio must be a finite number, got True"),
+        ],
+        ids=["is_flat-int", "shortest-text", "max_depth_ratio-bool"],
+    )
+    def test_write_refuses_what_read_refuses(self, tmp_path, field, value, message):
+        spec = SizeSpec(**{**CAR_SPEC, field: value})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_size_specs({"car": spec}, str(tmp_path / "specs.json"))
+        assert os.listdir(tmp_path) == []
+
+    def test_write_refuses_a_category_given_twice(self, tmp_path):
+        specs = {"car": SizeSpec(**CAR_SPEC), "truck": SizeSpec(**CAR_SPEC)}
+        with pytest.raises(ValueError, match=re.escape("category 'car': duplicate category")):
+            write_size_specs(specs, str(tmp_path / "specs.json"))
+        assert os.listdir(tmp_path) == []
+
+    def test_equal_specs_write_equal_bytes(self, tmp_path):
+        ints = SizeSpec("car", (1, 2), (1, 3), (3, 5), 4)
+        floats = SizeSpec("car", (1.0, 2.0), (1.0, 3.0), (3.0, 5.0), 4.0)
+        assert ints == floats
+        write_size_specs({"car": ints}, str(tmp_path / "ints.json"))
+        write_size_specs({"car": floats}, str(tmp_path / "floats.json"))
+        assert (tmp_path / "ints.json").read_bytes() == (tmp_path / "floats.json").read_bytes()
 
     def test_duplicate_category_names_it(self, tmp_path):
         path = str(tmp_path / "specs.json")
@@ -764,6 +907,31 @@ class TestReaderFieldKinds:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
                 rc = main([*argv, "--output", os.path.join(tmp, "out.json")])
             assert rc in (0, 2), stderr.getvalue()
+
+
+def table_keys(table) -> set:
+    """Every key of a field table, with those of the objects it nests."""
+    return {key for key, _, _ in table} | {k for _, kind, _ in table if type(kind) is tuple for k in table_keys(kind)}
+
+
+def readme_record_bullet(kind: str) -> str:
+    """The README "File formats" bullet of one record kind, to the next bullet or paragraph."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## File formats\n")[1].split("\n## ")[0]
+    match = re.search(rf"^ *- \*\*{kind}\*\*:(.*?)(?=^ *- |^$)", section, re.M | re.S)
+    assert match, f"README File formats has no {kind} bullet"
+    return match.group(1)
+
+
+class TestReadmeFileFormats:
+    @pytest.mark.parametrize(
+        "kind, table",
+        [("Image", _IMAGE_FIELDS), ("Annotation", _ANNOTATION_FIELDS), ("Category", _SIZE_SPEC_FIELDS)],
+        ids=["image", "annotation", "category"],
+    )
+    def test_bullet_names_every_field_and_no_other(self, kind, table):
+        named = set(re.findall(r"`([a-z][a-z0-9_]*)`", readme_record_bullet(kind)))
+        assert named == table_keys(table)
 
 
 # ---------------------------------------------------------------------------
