@@ -12,7 +12,6 @@ testing. The ``mono3dkit`` command exposes the main workflows.
 
 from .camera import (
     CameraModel,
-    RayField,
     backproject,
     project,
     projected_box2d,
@@ -72,7 +71,6 @@ from .geometry import (
     yaw_of_rotation,
     yaw_to_matrix,
 )
-from .harmonics import real_spherical_harmonics, sph_harm_count
 from .lifting import (
     LiftCandidate,
     TranslationResult,

@@ -17,7 +17,6 @@ from .geometry import Box2D, Box3D
 
 __all__ = [
     "CameraModel",
-    "RayField",
     "project",
     "projected_extents",
     "projected_box2d",
@@ -47,30 +46,6 @@ class CameraModel:
             raise ValueError("focal lengths must be positive")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image size must be positive")
-
-    @property
-    def intrinsics(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
-
-@dataclass(frozen=True)
-class RayField:
-    """Unit viewing directions on a pixel grid, shape (rows, cols, 3)."""
-
-    directions: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        d = np.asarray(self.directions, dtype=np.float64)
-        if d.ndim != 3 or d.shape[2] != 3:
-            raise ValueError("directions must have shape (rows, cols, 3)")
-        norms = np.linalg.norm(d, axis=2)
-        if not np.allclose(norms, 1.0, atol=1e-9):
-            raise ValueError("ray directions must be unit length")
-        object.__setattr__(self, "directions", d)
 
 
 def project(camera: CameraModel, points) -> np.ndarray:
@@ -141,8 +116,8 @@ def ray_directions(camera: CameraModel, pixels) -> np.ndarray:
     return d / np.linalg.norm(d, axis=-1, keepdims=True)
 
 
-def ray_field(camera: CameraModel, resolution: tuple[int, int] | None = None) -> RayField:
-    """Ray directions over a regular grid covering the full image.
+def ray_field(camera: CameraModel, resolution: tuple[int, int] | None = None) -> np.ndarray:
+    """Unit ray directions, shape (rows, cols, 3), on a grid covering the full image.
 
     Args:
         camera: intrinsics.
@@ -160,5 +135,4 @@ def ray_field(camera: CameraModel, resolution: tuple[int, int] | None = None) ->
     u = (np.arange(cols) + 0.5) * (camera.width / cols)
     v = (np.arange(rows) + 0.5) * (camera.height / rows)
     uu, vv = np.meshgrid(u, v)
-    dirs = ray_directions(camera, np.stack([uu, vv], axis=-1))
-    return RayField(directions=dirs, width=cols, height=rows)
+    return ray_directions(camera, np.stack([uu, vv], axis=-1))

@@ -312,9 +312,9 @@ def _write_synth(args, spec: SynthSpec, camera: CameraModel, written: list):
     for k in range(args.scenes):
         with _input_errors(f"scene seed {args.seed + k}: "):
             scene = synth_scene(spec, camera, seed=args.seed + k, image_id=f"synth-{args.seed + k:06d}")
-        scene.image.depth_path = f"{scene.image.id}.wd3d"
-        write(scene.image.depth_path, lambda path: dataio.write_depth(path, scene.depth))
-        write(f"{scene.image.id}.wd3i", lambda path: dataio.write_instance_map(path, scene.instance_map))
+            scene.image.depth_path = f"{scene.image.id}.wd3d"
+            write(scene.image.depth_path, lambda path: dataio.write_depth(path, scene.depth))
+            write(f"{scene.image.id}.wd3i", lambda path: dataio.write_instance_map(path, scene.instance_map))
         ds.images.append(scene.image)
         ds.annotations.extend(scene.annotations)
     write("dataset.json", lambda path: dataio.write_dataset(ds, path))

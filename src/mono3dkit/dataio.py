@@ -67,54 +67,40 @@ def _canonical_number(x: float) -> str:
     return s
 
 
-def _emit(obj, out: list, indent: int):
-    pad = "  " * indent
+def _json_text(obj, pad: str) -> str:
+    """Canonical text of ``obj``, whose closing bracket, if any, is indented by ``pad``."""
     if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_canonical_number(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _canonical_number(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
         keys = sorted(obj)
-        for i, k in enumerate(keys):
-            if not isinstance(k, str):
-                raise TypeError("object keys must be strings")
-            out.append(pad + "  " + json.dumps(k) + ": ")
-            _emit(obj[k], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
+        if not all(isinstance(k, str) for k in keys):
+            raise TypeError("object keys must be strings")
+        items = [f"{inner}{json.dumps(k)}: {_json_text(obj[k], inner)}" for k in keys]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
+        items = [inner + _json_text(item, inner) for item in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
 
 
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, %.9g floats, trailing newline."""
-    out: list = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _json_text(obj, "") + "\n"
 
 
 def atomic_write_bytes(path: str, data: bytes):
@@ -201,9 +187,6 @@ class DatasetFile:
 
     images: list = field(default_factory=list)
     annotations: list = field(default_factory=list)
-
-    def image_by_id(self) -> dict:
-        return {im.id: im for im in self.images}
 
 
 # What a field row's ``null`` says about None, and on read about an absent key:
@@ -490,11 +473,12 @@ def _read_raster(path: str, magic: bytes, dtype: str, itemsize: int) -> np.ndarr
 
 def write_depth(path: str, depth: np.ndarray):
     """Depth map: 'WD3D', u16 version, u32 width, u32 height, f32 meters."""
-    depth = np.asarray(depth, dtype=np.float32)
+    depth = np.asarray(depth, dtype=np.float64)
     if depth.ndim != 2:
         raise ValueError("depth must be a 2D array")
-    if not np.isfinite(depth).all():
-        raise ValueError("depth values must be finite")
+    # Checked before the cast, which would turn a value beyond float32 into inf.
+    if not (np.abs(depth) <= np.finfo(np.float32).max).all():
+        raise ValueError("depth values must be finite and within float32 range")
     _write_raster(path, _DEPTH_MAGIC, depth, "<f4")
 
 

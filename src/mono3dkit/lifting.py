@@ -297,11 +297,7 @@ def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.nd
     return np.hypot(outside[0], outside[1]) <= _INLIER_THRESHOLD
 
 
-def fit_oriented_box(
-    points,
-    seed: int = 0,
-    min_height: float | None = None,
-) -> Box3D:
+def fit_oriented_box(points, seed: int = 0) -> Box3D:
     """Gravity-aligned oriented box around a point cloud.
 
     The height axis follows ``DEFAULT_GRAVITY``; the footprint (points
@@ -312,12 +308,9 @@ def fit_oriented_box(
 
     Args:
         points: (N, 3), N >= 10.
-        min_height: when the vertical span is zero, use this height instead
-            of raising.
 
     Raises:
-        ValueError: too few points, collinear footprint, or zero height
-            without ``min_height``.
+        ValueError: too few points, collinear footprint, or zero height.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[0] < 10:
@@ -329,9 +322,7 @@ def fit_oriented_box(
     h_lo, h_hi = np.percentile(hcoord, _HEIGHT_PERCENTILES)
     height = float(h_hi - h_lo)
     if height < 1e-9:
-        if min_height is None:
-            raise ValueError("points span zero height; pass min_height to override")
-        height = float(min_height)
+        raise ValueError("points span zero height")
 
     fp = np.column_stack([pts @ u, pts @ v])
     rng = np.random.default_rng(seed)

@@ -478,9 +478,8 @@ def camera_ray_mse(pred_camera: CameraModel, gt_camera: CameraModel, resolution=
     """
     if (pred_camera.width, pred_camera.height) != (gt_camera.width, gt_camera.height):
         raise ValueError("cameras must share image size")
-    pred = ray_field(pred_camera, resolution).directions
-    gt = ray_field(gt_camera, resolution).directions
-    diff = pred - gt
+    pred = ray_field(pred_camera, resolution)
+    diff = pred - ray_field(gt_camera, resolution)
     value = float(np.mean(diff**2))
 
     # Unnormalized ray d = ((u-cx)/fx, (v-cy)/fy, 1); r = d/|d|;

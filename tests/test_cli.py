@@ -402,6 +402,25 @@ class TestLiftCommand:
         assert main(args) == 0
         assert file_hash(out) == first
 
+    def test_record_order_does_not_reach_the_output(self, tmp_path, capsys):
+        """lift visits images and each image's annotations sorted by id, so
+        reordering the dataset's records leaves the output bytes as they were."""
+        synth = tmp_path / "synth"
+        camera = ["--width", "480", "--height", "360", "--fx", "225", "--fy", "225", "--cx", "240", "--cy", "180"]
+        assert main(["synth", "--scenes", "2", "--boxes", "2", *camera, "--out-dir", str(synth)]) == 0
+        ds_path = synth / "dataset.json"
+        out = tmp_path / "cand.json"
+        args = ["lift", str(ds_path), "--depth-dir", str(synth), "--masks-dir", str(synth), "--output", str(out)]
+        assert main(args) == 0
+        first = out.read_bytes()
+        doc = json.loads(ds_path.read_text())
+        doc["images"].reverse()
+        doc["annotations"].reverse()
+        ds_path.write_text(json.dumps(doc))
+        assert main(args) == 0
+        assert out.read_bytes() == first
+        assert capsys.readouterr().out.count("lifted 4/4 annotations") == 2
+
     def test_missing_depth_file(self, tmp_path, capsys):
         _, ds_path, depth_dir, masks_dir = self.scene_inputs(tmp_path)
         os.remove(os.path.join(depth_dir, "scene.wd3d"))
@@ -724,6 +743,13 @@ def case_synth_placement_fails(tmp_path):
     return ["synth", "--boxes", "3", *camera, "--out-dir", str(tmp_path / "synth")], "scene seed 0"
 
 
+def case_synth_depth_beyond_float32(tmp_path):
+    # Noise this large puts depths past float32's range, so the depth raster cannot be written.
+    camera = ["--width", "160", "--height", "120", "--fx", "75", "--fy", "75", "--cx", "80", "--cy", "60"]
+    argv = ["synth", "--boxes", "1", *camera]
+    return [*argv, "--noise-sigma", "1e39", "--out-dir", str(tmp_path / "synth")], "scene seed 0: depth values"
+
+
 def case_output_is_directory(tmp_path):
     gt, pred = eval_pair(tmp_path)
     out = tmp_path / "out"
@@ -831,6 +857,7 @@ BAD_INPUT_CASES = [
     case_flag("--nms-iou", "7"),
     case_flag("--score-thresh", "5"),
     case_synth_placement_fails,
+    case_synth_depth_beyond_float32,
     case_output_is_directory,
 ]
 

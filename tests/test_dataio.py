@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mono3dkit import (
     AnnotationRecord,
@@ -46,6 +47,7 @@ from mono3dkit.dataio import (
     DATASET_FORMAT,
     QUALITY_RATINGS,
     SIZESPEC_FORMAT,
+    _canonical_number,
     atomic_write_bytes,
     atomic_write_text,
 )
@@ -56,7 +58,101 @@ from mono3dkit.dataio import (
 # ---------------------------------------------------------------------------
 
 
+def reference_emit(obj, out: list, indent: int):
+    """The token-list canonical JSON emitter that ``canonical_json`` replaced,
+    kept as the reference its bytes and errors are compared against."""
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_canonical_number(float(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        keys = sorted(obj)
+        for i, k in enumerate(keys):
+            if not isinstance(k, str):
+                raise TypeError("object keys must be strings")
+            out.append(pad + "  " + json.dumps(k) + ": ")
+            reference_emit(obj[k], out, indent + 1)
+            out.append(",\n" if i + 1 < len(keys) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(items):
+            out.append(pad + "  ")
+            reference_emit(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(items) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_canonical_json(obj) -> str:
+    out: list = []
+    reference_emit(obj, out, 0)
+    return "".join(out) + "\n"
+
+
+def text_or_error(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # nan and inf included: both writers must refuse them alike
+    st.floats(min_value=-1e10, max_value=1e10),  # where %.9g and repr part ways
+    st.text(max_size=8),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.float64, st.floats()),
+    st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+    st.builds(np.uint8, st.integers(0, 255)),
+    st.sampled_from([object(), {1, 2}, b"raw"]),  # types neither writer serializes
+    hnp.arrays(
+        st.sampled_from([np.float64, np.float32, np.int32]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+JSON_DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    st.dictionaries(st.integers(0, 3), JSON_VALUES, min_size=1, max_size=2),  # refused: keys are not strings
+)
+
+
 class TestCanonicalJson:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(obj=JSON_DOCUMENTS)
+    def test_matches_the_reference_emitter(self, obj):
+        assert text_or_error(canonical_json, obj) == text_or_error(reference_canonical_json, obj)
+
     def test_sorted_keys_indent_and_trailing_newline(self):
         text = canonical_json({"b": 1, "a": [1.5, 2]})
         assert text == '{\n  "a": [\n    1.5,\n    2\n  ],\n  "b": 1\n}\n'
@@ -210,12 +306,6 @@ class TestRecordHelpers:
         assert not a.has_3d
         with pytest.raises(ValueError):
             a.box3d()
-
-    def test_image_by_id(self):
-        ds = sample_dataset()
-        lut = ds.image_by_id()
-        assert set(lut) == {"im0", "im1"}
-        assert lut["im0"].width == 1280
 
 
 class TestValidateDataset:
@@ -598,6 +688,16 @@ class TestDepthRaster:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             write_depth(str(tmp_path / "d"), bad)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_rejects_values_beyond_float32_without_a_warning(self, tmp_path, value):
+        bad = np.ones((2, 2))
+        bad[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="within float32 range"):
+                write_depth(str(tmp_path / "d"), bad)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_bad_magic(self, tmp_path):
         path = str(tmp_path / "d.wd3d")

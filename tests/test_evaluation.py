@@ -613,3 +613,62 @@ class TestEvaluate:
     def test_gt_without_geometry_must_be_ignore(self):
         with pytest.raises(ValueError):
             GroundTruth(image_id="im0", category="chair", box2d=Box2D(0, 0, 10, 10))
+
+
+def random_pool(seed):
+    """Six images of chairs and tables at 3-45 m, some ignore3d, crowded so
+    that a detection often qualifies for two GTs. Most valid GTs have a
+    detection, some a duplicate that NMS suppresses, and each image has a
+    few false positives. Scores are continuous draws, so no two detections
+    share a fused score."""
+    rng = np.random.default_rng(seed)
+    dets, gts = [], []
+
+    def det(image, cat, center, dims, yaw, box2d):
+        return make_det(image, cat, center, dims, yaw, box2d, rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0))
+
+    for image in (f"im{k}" for k in range(6)):
+        crowd = np.array([rng.uniform(-3.0, 3.0), 0.0, rng.uniform(3.0, 45.0)])
+        for _ in range(int(rng.integers(1, 6))):
+            cat = ("chair", "table")[int(rng.integers(2))]
+            center = crowd + rng.normal(0.0, 0.6, 3)
+            dims = rng.uniform(0.5, 2.0, 3)
+            yaw = rng.uniform(0.0, math.pi)
+            x, y = rng.uniform(0.0, 500.0, 2)
+            box2d = (x, y, x + rng.uniform(30.0, 150.0), y + rng.uniform(30.0, 150.0))
+            ignore = bool(rng.random() < 0.2)
+            gts.append(make_gt(image, cat, center, dims, yaw, box2d, ignore))
+            for _ in range(int(rng.choice(3, p=[0.2, 0.6, 0.2])) if not ignore else 0):
+                dets.append(det(image, cat, center + rng.normal(0.0, 0.2, 3), dims * rng.uniform(0.9, 1.1, 3),
+                                yaw + rng.normal(0.0, 0.1), np.add(box2d, rng.normal(0.0, 3.0, 4))))
+        for _ in range(int(rng.integers(0, 3))):
+            x, y = rng.uniform(0.0, 500.0, 2)
+            dets.append(det(image, ("chair", "table")[int(rng.integers(2))], crowd + rng.normal(0.0, 1.0, 3),
+                            rng.uniform(0.5, 2.0, 3), rng.uniform(0.0, math.pi), (x, y, x + 80.0, y + 80.0)))
+    return dets, gts
+
+
+class TestEvaluateInputOrder:
+    """``evaluate`` does not depend on the order of its inputs when no two
+    detections share a score. NMS, matching and AP visit detections by
+    descending score and fall back to input order only on a score tie.
+    Matching takes a group's GTs in input order, which only decides ties
+    in match quality: continuous random boxes give none above 0. Groups,
+    bands and categories are visited in sorted order, so every sum runs in
+    the same order and the result is equal bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["iou", "dist"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_inputs_give_the_same_result(self, mode, seed):
+        dets, gts = random_pool(seed)
+        assert len({d.score for d in dets}) == len(dets)
+        rng = np.random.default_rng(100 + seed)
+        base = evaluate(dets, gts, mode=mode)
+        assert base.match_log
+        for _ in range(3):
+            shuffled = evaluate([dets[k] for k in rng.permutation(len(dets))],
+                                [gts[k] for k in rng.permutation(len(gts))], mode=mode)
+            assert {**vars(shuffled), "match_log": None} == {**vars(base), "match_log": None}
+            assert [(id(d), kind, id(g)) for d, kind, g in shuffled.match_log] == [
+                (id(d), kind, id(g)) for d, kind, g in base.match_log
+            ]

@@ -420,6 +420,71 @@ class TestSeparatedPairs:
                 assert not built and got == 0.0
 
 
+def c2_pairs(n):
+    """The general-rotation pairs of acceptance criterion C2, seed 0."""
+    rng = np.random.default_rng(0)
+    for _ in range(n):
+        ca = np.array([0.0, 0.0, 5.0]) + rng.uniform(-1.0, 1.0, 3)
+        a = Box3D(ca, rng.uniform(0.8, 2.0, 3), rng.normal(size=4))
+        b = Box3D(ca + rng.uniform(-1.0, 1.0, 3), rng.uniform(0.8, 2.0, 3), rng.normal(size=4))
+        yield a, b
+
+
+def surface_area(box):
+    x, y, z = box.dims
+    return 2.0 * (x * y + y * z + z * x)
+
+
+def iou_slack(a, b, shift=0.0):
+    """Largest change in ``iou3d(a, b)`` that the hull construction allows
+    between two evaluations of the same pair, or of the pair with ``b`` moved
+    by ``shift`` metres relative to ``a``.
+
+    Every vertex the hull keeps lies within ``r = sqrt(3) * tol + rho`` of
+    both boxes: it is a point of one box, computed with rounding ``rho``, and
+    within ``tol`` of the other per axis. Every vertex of the exact
+    intersection is a candidate within ``rho`` of its exact place, so it is
+    kept. Either hull volume therefore lies within ``(S_a + S_b) * (r + rho)``
+    of the exact one, to first order (``S`` are surface areas). Moving ``b``
+    by ``shift`` changes the exact volume by at most ``S_b * shift``. With
+    ``U >= max(V_a, V_b)`` the union, IoU moves by at most ``2 / max(V_a,
+    V_b)`` per unit of intersection volume. ``rho`` is 64 roundings of the
+    largest coordinate in ``a``'s frame: a generous count for the quaternion
+    to matrix products and the edge crossings.
+    """
+    tol = geometry._INSIDE_TOL * max(a.dims.max(), b.dims.max())
+    extent = np.linalg.norm(b.center - a.center) + max(a.dims.max(), b.dims.max())
+    rho = 64.0 * np.finfo(np.float64).eps * extent
+    spread = (surface_area(a) + surface_area(b)) * (math.sqrt(3.0) * tol + 2.0 * rho) + surface_area(b) * shift
+    return 2.0 * spread / max(a.volume, b.volume)
+
+
+class TestIoU3DInvariants:
+    """Metamorphic checks on C2's pairs. The two sides build their hulls from
+    differently rounded vertices, so they may differ in the last bits, but
+    never by more than :func:`iou_slack`."""
+
+    def test_symmetric(self):
+        """``iou3d(b, a)`` works in ``b``'s frame, ``iou3d(a, b)`` in ``a``'s:
+        the same vertices, rounded differently."""
+        for a, b in c2_pairs(2000):
+            assert abs(iou3d(a, b) - iou3d(b, a)) <= iou_slack(a, b)
+
+    def test_rigid_translation_far_from_the_origin(self):
+        """Both boxes moved by (1e4, -3e3, 7e3) m. Each moved center is
+        rounded to within half a unit in the last place of its largest
+        coordinate, so ``b`` moves relative to ``a`` by at most sqrt(3) of
+        those units. The rest of the computation sees the same relative
+        offset, as the frame is ``a``'s."""
+        move = np.array([1e4, -3e3, 7e3])
+        for a, b in c2_pairs(500):
+            a2 = Box3D(a.center + move, a.dims, a.quaternion)
+            b2 = Box3D(b.center + move, b.dims, b.quaternion)
+            coordinate = max(np.abs(a2.center).max(), np.abs(b2.center).max())
+            shift = math.sqrt(3.0) * float(np.spacing(coordinate))
+            assert abs(iou3d(a, b) - iou3d(a2, b2)) <= iou_slack(a, b, shift)
+
+
 class TestNormalizeRotation:
     def assert_same_box(self, box, dims2, quat2, tol=1e-6):
         other = Box3D(box.center, dims2, quat2)

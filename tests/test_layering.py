@@ -2,6 +2,7 @@
 modules of a lower rank."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -12,7 +13,6 @@ PACKAGE = pathlib.Path(mono3dkit.__file__).parent
 
 RANK = {
     "geometry": 0,
-    "harmonics": 0,
     "camera": 1,
     "codec": 2,
     "filters": 2,
@@ -84,10 +84,15 @@ def test_relative_import_forms_are_seen():
     assert {"dataio", "evaluation", "camera"} <= package_imports("cli")
 
 
+def package_reexports() -> list:
+    """(module, alias) for each name the package ``__init__`` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return [(node.module, alias) for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
 def package_exports() -> set:
     """Names the package ``__init__`` imports from its modules."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    return {alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return {alias.asname or alias.name for _, alias in package_reexports()}
 
 
 def unreferenced_definitions(sources: list, exported: set) -> list:
@@ -149,3 +154,25 @@ def test_all_names_the_public_definitions(module):
 def test_all_and_definitions_are_seen():
     source = "__all__ = ['A', 'f', 'K', 'gone']\nK = 1\nclass A:\n    pass\ndef f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\n"
     assert all_and_definitions(source) == ({"A", "f", "gone"}, {"A", "f", "g"})
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_all_entries_are_defined_by_their_module(module):
+    """A deletion that leaves a stale ``__all__`` entry behind, or an entry
+    that names an import, fails here."""
+    mod = importlib.import_module(f"mono3dkit.{module}")
+    undefined = [
+        name
+        for name in mod.__all__
+        if name not in vars(mod) or getattr(vars(mod)[name], "__module__", mod.__name__) != mod.__name__
+    ]
+    assert undefined == [], f"{module}.__all__ names {undefined}, which {module} does not define"
+
+
+def test_package_reexports_only_names_in_their_modules_all():
+    stray = [
+        f"{module}.{alias.name}"
+        for module, alias in package_reexports()
+        if alias.name not in importlib.import_module(f"mono3dkit.{module}").__all__
+    ]
+    assert stray == []

@@ -518,8 +518,8 @@ def parent_ray_gradient(pred_camera, gt_camera, resolution):
     """camera_ray_mse's intrinsics gradient with the pixel grid rebuilt, as it
     was computed before it read the grid off the ray directions."""
     cols, rows = resolution
-    pred = ray_field(pred_camera, resolution).directions
-    diff = pred - ray_field(gt_camera, resolution).directions
+    pred = ray_field(pred_camera, resolution)
+    diff = pred - ray_field(gt_camera, resolution)
     u = (np.arange(cols) + 0.5) * (pred_camera.width / cols)
     v = (np.arange(rows) + 0.5) * (pred_camera.height / rows)
     uu, vv = np.meshgrid(u, v)
@@ -552,7 +552,7 @@ class TestCameraRayMse:
         a =CameraModel(480.0, 505.0, 315.0, 248.0, 640, 480)
         b = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
         rep = camera_ray_mse(a, b, resolution=(16, 12))
-        diff = ray_field(a, (16, 12)).directions - ray_field(b, (16, 12)).directions
+        diff = ray_field(a, (16, 12)) - ray_field(b, (16, 12))
         assert rep.value == pytest.approx(float(np.mean(diff**2)), abs=1e-15)
 
     def test_size_mismatch_raises(self):
