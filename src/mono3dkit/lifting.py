@@ -7,7 +7,9 @@ oriented 3D box candidate:
     -> fit_oriented_box -> optimize_translation -> adaptive_select
     -> correct_rotation
 
-All stages are deterministic given their seeds. Distances are meters.
+Only the anchor subsample draws random numbers, from the seed given to
+:func:`lift_annotation`; every other stage is deterministic. Distances are
+meters.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ _BEHIND_CAMERA_PENALTY = 1e6
 # Cleaning and box fitting.
 _OUTLIER_SIGMA = 2.0  # drop points beyond mean + sigma * std of the kNN statistic
 _EPS_FACTOR = 3.0  # cluster radius in median nearest-neighbor distances
-_RANSAC_ITERATIONS = 200
-_INLIER_THRESHOLD = 0.05  # meters outside a footprint rectangle hypothesis
 _HEIGHT_PERCENTILES = (1.0, 99.0)
 
 # Translation search: anchors, objective weights and the L-BFGS-B polish.
@@ -93,6 +93,8 @@ class LiftCandidate:
     """A lifted 3D box with its provenance and diagnostics."""
 
     box: Box3D
+    # A stable label, not a description of the fit: it reaches output bytes
+    # and ``filters.small_upgrade_allowed``.
     generator: str = "ransac_pca"
     status: str = "raw"  # raw | optimized | filtered
     losses: dict = field(default_factory=dict)
@@ -151,7 +153,8 @@ def largest_cluster(points, min_points: int = 8) -> np.ndarray:
     """Largest density cluster; radius is 3x the median NN distance.
 
     Density clustering in the DBSCAN sense: core points have at least
-    ``min_points`` neighbors (self included) within eps; clusters are the
+    ``min_points`` neighbors (self included) within eps, counted from the
+    one pair query that also links the clusters; clusters are the
     connected components of the core points, numbered by their lowest point
     index; a border point joins the lowest-numbered cluster among its core
     neighbors. Ties in size break toward the smaller mean depth (z).
@@ -171,10 +174,10 @@ def largest_cluster(points, min_points: int = 8) -> np.ndarray:
         eps = 0.0
     if eps <= 0:
         raise ValueError("degenerate point spacing; all points classified as noise")
-    core = tree.query_ball_point(pts, eps, return_length=True) >= min_points
+    i, j = tree.query_pairs(eps, output_type="ndarray").T
+    core = 1 + np.bincount(i, minlength=n) + np.bincount(j, minlength=n) >= min_points
     if not core.any():
         raise ValueError("all points classified as noise")
-    i, j = tree.query_pairs(eps, output_type="ndarray").T
     rank = np.cumsum(core) - 1  # index of each core point among the core points
     linked = core[i] & core[j]
     graph = csr_matrix((np.ones(np.count_nonzero(linked)), (rank[i[linked]], rank[j[linked]])), shape=(rank[-1] + 1,) * 2)
@@ -249,62 +252,15 @@ def _min_area_rectangle(fp: np.ndarray):
     return theta, center, extents
 
 
-def _rectangle_frame(fp: np.ndarray, c: float, s: float) -> np.ndarray:
-    """Footprint coordinates along the rectangle axes at angle (cos, sin), as contiguous rows (2, n)."""
-    return np.ascontiguousarray((fp @ np.array([[c, -s], [s, c]])).T)
-
-
-def _outside(q: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-axis distance (2, n) of each point of ``q`` (2, n) outside the extent [lo, hi]."""
-    return np.maximum(np.maximum(lo[:, None] - q, q - hi[:, None]), 0.0)
-
-
-def _ransac_rectangle_inliers(fp: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Inlier mask of the best rectangle hypothesis over the footprint.
-
-    Each iteration takes an orientation from two sampled points, builds the
-    [0.5, 99.5]-percentile extent rectangle in that frame, and counts points
-    within ``_INLIER_THRESHOLD`` of the rectangle region. Best hypothesis by count,
-    ties by smaller area. Degenerate samples are skipped; if nothing usable
-    comes up, all points are inliers.
-
-    All sample pairs are drawn up front (degenerate ones consume their draw
-    too). Per hypothesis one percentile call finds both extents of both
-    axes; points inside the rectangle count directly and only the few
-    outside it need a distance. The mask is built once, for the winner.
-    """
-    n = fp.shape[0]
-    pairs = [rng.choice(n, size=2, replace=False) for _ in range(_RANSAC_ITERATIONS)]
-    best = None
-    for i, j in pairs:
-        d = fp[j] - fp[i]
-        nd = float(np.linalg.norm(d))
-        if nd < 1e-12:
-            continue
-        c, s = d[0] / nd, d[1] / nd
-        q = _rectangle_frame(fp, c, s)
-        lo, hi = np.percentile(q, [0.5, 99.5], axis=1)
-        outside = _outside(q, lo, hi)
-        off = outside.any(axis=0)
-        near = np.hypot(outside[0, off], outside[1, off]) <= _INLIER_THRESHOLD
-        key = (n - int(np.count_nonzero(off)) + int(np.count_nonzero(near)), -float((hi - lo).prod()))
-        if best is None or key > best[0]:
-            best = (key, c, s, lo, hi)
-    if best is None:
-        return np.ones(n, dtype=bool)
-    _, c, s, lo, hi = best
-    outside = _outside(_rectangle_frame(fp, c, s), lo, hi)
-    return np.hypot(outside[0], outside[1]) <= _INLIER_THRESHOLD
-
-
-def fit_oriented_box(points, seed: int = 0) -> Box3D:
+def fit_oriented_box(points) -> Box3D:
     """Gravity-aligned oriented box around a point cloud.
 
     The height axis follows ``DEFAULT_GRAVITY``; the footprint (points
-    projected along gravity) passes RANSAC inlier rejection and a
-    rotating-calipers minimum-area rectangle; height spans the [1, 99]
-    percentile band of the vertical coordinate. The result's rotation is
-    yaw-only about gravity.
+    projected along gravity) gets a rotating-calipers minimum-area
+    rectangle; height spans the [1, 99] percentile band of the vertical
+    coordinate. The result's rotation is yaw-only about gravity. Outliers
+    are the job of the stages before it (:func:`remove_outliers`,
+    :func:`largest_cluster`).
 
     Args:
         points: (N, 3), N >= 10.
@@ -324,12 +280,7 @@ def fit_oriented_box(points, seed: int = 0) -> Box3D:
     if height < 1e-9:
         raise ValueError("points span zero height")
 
-    fp = np.column_stack([pts @ u, pts @ v])
-    rng = np.random.default_rng(seed)
-    inliers = _ransac_rectangle_inliers(fp, rng)
-    if np.count_nonzero(inliers) < 3:
-        inliers = np.ones(fp.shape[0], dtype=bool)
-    theta, center2d, extents = _min_area_rectangle(fp[inliers])
+    theta, center2d, extents = _min_area_rectangle(np.column_stack([pts @ u, pts @ v]))
 
     rot = _yaw_rotation(theta, u, v, haxis)
     center = center2d[0] * u + center2d[1] * v + 0.5 * (h_lo + h_hi) * haxis
@@ -667,7 +618,7 @@ def lift_annotation(
     cluster = largest_cluster(cleaned)
     n_clustered = cluster.shape[0]
 
-    fitted = fit_oriented_box(cluster, seed=seed)
+    fitted = fit_oriented_box(cluster)
     # Anchors come from the full cleaned cloud, not the dominant cluster:
     # sparse but real surface points (grazing-angle faces) are what pin the
     # translation along the viewing ray.

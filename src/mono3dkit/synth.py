@@ -166,8 +166,20 @@ def synth_scene(
     """Generate and render one scene.
 
     Raises:
-        ValueError: placement rejection budget exhausted.
+        ValueError: the camera cannot see a box resting on the floor, or
+            the placement rejection budget is exhausted.
     """
+    if spec.floor_y is not None and spec.floor_y > 0:
+        # A box's nearest bottom corner is no deeper than its center, so its
+        # bottom projects at this row or below.
+        row = camera.cy + camera.fy * spec.floor_y / spec.depth_range[1]
+        if row > camera.height - _MARGIN_PX:
+            raise ValueError(
+                f"camera cannot see the floor: a box on the floor {spec.floor_y:g} m below the camera, "
+                f"at most {spec.depth_range[1]:g} m deep, has its bottom at row {row:.1f} or below, "
+                f"past the bottom margin at row {camera.height - _MARGIN_PX:g} "
+                f"(camera {camera.width}x{camera.height}, fy {camera.fy:g}, cy {camera.cy:g})"
+            )
     rng = np.random.default_rng(seed)
     boxes: list[Box3D] = []
     rejections = 0

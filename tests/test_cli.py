@@ -738,9 +738,17 @@ def case_flag(flag, value, command=None):
 
 
 def case_synth_placement_fails(tmp_path):
-    # No 3-box layout fits inside the margins of a 64 x 48 image.
+    # The floor 0.7 m down is just in view (box bottoms at row 39.9 or below, margin at 40),
+    # but no 3-box layout fits inside the margins of a 64 x 48 image.
     camera = ["--width", "64", "--height", "48", "--fx", "50", "--fy", "50", "--cx", "32", "--cy", "24"]
-    return ["synth", "--boxes", "3", *camera, "--out-dir", str(tmp_path / "synth")], "scene seed 0"
+    argv = ["synth", "--boxes", "3", *camera, "--floor-y", "0.7", "--out-dir", str(tmp_path / "synth")]
+    return argv, "scene seed 0: box placement failed"
+
+
+def case_synth_camera_cannot_see_the_floor(tmp_path):
+    # The default focal length and floor put every box bottom below a 320 x 240 image.
+    camera = ["--width", "320", "--height", "240", "--cx", "160", "--cy", "120"]
+    return ["synth", *camera, "--out-dir", str(tmp_path / "synth")], "scene seed 0: camera cannot see the floor"
 
 
 def case_synth_depth_beyond_float32(tmp_path):
@@ -857,6 +865,7 @@ BAD_INPUT_CASES = [
     case_flag("--nms-iou", "7"),
     case_flag("--score-thresh", "5"),
     case_synth_placement_fails,
+    case_synth_camera_cannot_see_the_floor,
     case_synth_depth_beyond_float32,
     case_output_is_directory,
 ]

@@ -281,9 +281,23 @@ class TestSynthScene:
         assert [a.category for a in sc.annotations] == ["mug", "bowl", "mug"]
 
     def test_placement_budget_exhaustion_raises(self):
-        tiny = CameraModel(450.0, 450.0, 80.0, 60.0, 160, 120)
         with pytest.raises(ValueError, match="placement failed"):
-            synth_scene(SynthSpec(n_boxes=30, max_rejections=100), tiny, seed=0)
+            self.scene(n_boxes=30, max_rejections=100)
+
+    @pytest.mark.parametrize("clearance", [0.05, -0.05])
+    def test_floor_check_is_the_lowest_box_bottom(self, clearance):
+        # Box bottoms on the floor project at or below row cy + fy * floor_y / farthest depth.
+        spec = SynthSpec(n_boxes=1, max_rejections=100)
+        cy = 480.0 - 8.0 - clearance - 600.0 * spec.floor_y / spec.depth_range[1]
+        camera = CameraModel(600.0, 600.0, 320.0, cy, 640, 480)
+        if clearance < 0:
+            with pytest.raises(ValueError, match=r"camera cannot see the floor: .* 1\.2 m below .*camera 640x480, fy 600"):
+                synth_scene(spec, camera, seed=0)
+        else:
+            try:
+                synth_scene(spec, camera, seed=0)
+            except ValueError as exc:
+                assert "placement failed" in str(exc)
 
 
 def full_frame_render(boxes, spec, camera):
