@@ -5,7 +5,7 @@ oriented 3D box candidate:
 
     extract_object_points -> remove_outliers -> largest_cluster
     -> fit_oriented_box -> optimize_translation -> adaptive_select
-    -> correct_rotation
+    -> correct_rotation (gravity re-alignment; the fit alone sets the yaw)
 
 Only the anchor subsample draws random numbers, from the seed given to
 :func:`lift_annotation`; every other stage is deterministic. Distances are
@@ -59,6 +59,7 @@ _BEHIND_CAMERA_PENALTY = 1e6
 _OUTLIER_SIGMA = 2.0  # drop points beyond mean + sigma * std of the kNN statistic
 _EPS_FACTOR = 3.0  # cluster radius in median nearest-neighbor distances
 _HEIGHT_PERCENTILES = (1.0, 99.0)
+_CLOSENESS_FLOOR = 0.05  # least point-to-side distance in the closeness score, in footprint diagonals
 
 # Translation search: anchors, objective weights and the L-BFGS-B polish.
 _ANCHOR_COUNT = 256
@@ -72,7 +73,7 @@ _MAX_ITERATIONS = 100
 _F_TOL = 1e-6
 _FD_STEP = 1e-4
 
-# Fallback selection and rotation correction.
+# Fallback selection and gravity re-alignment.
 _PROJECTED_IOU_THRESHOLD = 0.4
 _MAX_TILT_DEG = 15.0
 
@@ -85,7 +86,6 @@ class TranslationResult:
     loss: float
     grid_loss: float
     n_grid_evaluations: int
-    flags: tuple = ()
 
 
 @dataclass
@@ -219,46 +219,59 @@ def _yaw_rotation(yaw: float, u: np.ndarray, v: np.ndarray, height_axis: np.ndar
     return np.column_stack([a1, height_axis, np.cross(a1, height_axis)])
 
 
-def _min_area_rectangle(fp: np.ndarray):
-    """Rotating calipers: minimum-area rectangle over the convex hull.
+def _footprint_rectangle(fp: np.ndarray):
+    """Footprint rectangle flush with the hull edge of best L-shape closeness.
+
+    Each convex-hull edge gives a candidate frame. A frame is scored by the
+    closeness criterion of L-shape fitting (Zhang et al. 2017, "Efficient
+    L-Shape Fitting for Vehicle Detection Using Laser Scanners"): each point
+    takes its distance to the nearer rectangle side along either frame axis,
+    floored at 5% of the footprint's bounding-box diagonal, and the frame
+    scores the sum of the inverses. The first edge within 1e-12 (relative)
+    of the best score wins. Minimum area ties on the L-shaped footprint of
+    two side faces; closeness does not. A seen top face puts the box's sides
+    on the hull, so tabletop fits keep the rectangle that minimum area chose.
 
     Returns (theta, center2d, extents2d); theta is the angle of the first
-    rectangle axis. The optimal rectangle is flush with a hull edge; the
-    first strictly smallest edge wins, which keeps ties deterministic.
+    rectangle axis.
     """
     try:
         hull = ConvexHull(fp)
     except QhullError as exc:
         raise ValueError("degenerate footprint: points are collinear") from exc
     hp = fp[hull.vertices]
-    best = None
-    for k in range(len(hp)):
-        edge = hp[(k + 1) % len(hp)] - hp[k]
-        ne = float(np.linalg.norm(edge))
-        if ne < 1e-12:
-            continue
-        c, s = edge[0] / ne, edge[1] / ne
-        rot = np.array([[c, -s], [s, c]])  # rotate by -theta (row vectors)
-        q = hp @ rot
-        lo, hi = q.min(axis=0), q.max(axis=0)
-        area = float((hi - lo).prod())
-        if best is None or area < best[0] - 1e-15:
-            mid = 0.5 * (lo + hi)
-            center = mid @ rot.T
-            best = (area, math.atan2(s, c), center, hi - lo)
-    if best is None:
+    edges = np.roll(hp, -1, axis=0) - hp
+    norms = np.linalg.norm(edges, axis=1)
+    usable = np.flatnonzero(norms >= 1e-12)
+    if usable.size == 0:
         raise ValueError("degenerate footprint: no usable hull edge")
-    _, theta, center, extents = best
-    return theta, center, extents
+    c, s = (edges[usable] / norms[usable, None]).T
+    floor = _CLOSENESS_FLOOR * float(np.linalg.norm(np.ptp(fp, axis=0)))
+    d = np.full((fp.shape[0], usable.size), np.inf)  # distance to the nearest side, (points, edges)
+    for axis in (np.stack([c, s]), np.stack([-s, c])):
+        q = fp @ axis
+        np.minimum(d, q - q.min(axis=0), out=d)
+        np.minimum(d, q.max(axis=0) - q, out=d)
+    scores = (1.0 / np.maximum(d, floor, out=d)).sum(axis=0)
+    k = int(usable[np.argmax(scores >= scores.max() * (1.0 - 1e-12))])
+
+    edge = hp[(k + 1) % len(hp)] - hp[k]
+    ne = float(np.linalg.norm(edge))
+    c, s = edge[0] / ne, edge[1] / ne
+    rot = np.array([[c, -s], [s, c]])  # rotate by -theta (row vectors)
+    q = hp @ rot
+    lo, hi = q.min(axis=0), q.max(axis=0)
+    return math.atan2(s, c), 0.5 * (lo + hi) @ rot.T, hi - lo
 
 
 def fit_oriented_box(points) -> Box3D:
     """Gravity-aligned oriented box around a point cloud.
 
     The height axis follows ``DEFAULT_GRAVITY``; the footprint (points
-    projected along gravity) gets a rotating-calipers minimum-area
-    rectangle; height spans the [1, 99] percentile band of the vertical
-    coordinate. The result's rotation is yaw-only about gravity. Outliers
+    projected along gravity) gets the hull-edge rectangle of best L-shape
+    closeness (:func:`_footprint_rectangle`); height spans the [1, 99]
+    percentile band of the vertical coordinate. The result's rotation is
+    yaw-only about gravity. Outliers
     are the job of the stages before it (:func:`remove_outliers`,
     :func:`largest_cluster`).
 
@@ -280,7 +293,7 @@ def fit_oriented_box(points) -> Box3D:
     if height < 1e-9:
         raise ValueError("points span zero height")
 
-    theta, center2d, extents = _min_area_rectangle(np.column_stack([pts @ u, pts @ v]))
+    theta, center2d, extents = _footprint_rectangle(np.column_stack([pts @ u, pts @ v]))
 
     rot = _yaw_rotation(theta, u, v, haxis)
     center = center2d[0] * u + center2d[1] * v + 0.5 * (h_lo + h_hi) * haxis
@@ -434,9 +447,9 @@ def optimize_translation(
     lattice point with the smallest loss wins. Stage 2 polishes it with
     bounded L-BFGS-B inside the same window; each step is one batched call
     on the point and its six central-difference neighbours (step 1e-4),
-    giving the loss and its gradient together. If polishing fails to
-    improve, the lattice best is returned with a flag; the final loss never
-    exceeds the lattice best.
+    giving the loss and its gradient together. If polishing fails or does
+    not improve, the lattice best is returned; the final loss never exceeds
+    the lattice best.
     """
     check_grid_size(grid_size)
     objective = _translation_objective(candidate, anchor_points, weights, box2d, camera)
@@ -459,7 +472,6 @@ def optimize_translation(
         f = objective(center + steps)
         return float(f[0]), (f[1::2] - f[2::2]) / (2 * _FD_STEP)
 
-    flags = ()
     try:
         res = minimize(
             value_and_gradient,
@@ -472,10 +484,8 @@ def optimize_translation(
         refined_center, refined_val = res.x, float(res.fun)
     except Exception:
         refined_center, refined_val = best_center, math.inf
-        flags = ("refinement_error",)
     if not math.isfinite(refined_val) or refined_val > grid_loss:
         refined_center, refined_val = best_center, grid_loss
-        flags = flags or ("refinement_rejected",)
 
     final = Box3D(refined_center, candidate.dims, candidate.quaternion)
     return TranslationResult(
@@ -483,7 +493,6 @@ def optimize_translation(
         loss=refined_val,
         grid_loss=grid_loss,
         n_grid_evaluations=len(lattice),
-        flags=flags,
     )
 
 
@@ -525,7 +534,7 @@ def adaptive_select(
 
 
 # ---------------------------------------------------------------------------
-# Rotation correction
+# Gravity re-alignment
 # ---------------------------------------------------------------------------
 
 
@@ -554,43 +563,21 @@ def estimate_gravity(points) -> np.ndarray:
     return d
 
 
-def correct_rotation(
-    box: Box3D,
-    scene_points,
-    box2d: Box2D,
-    camera: CameraModel,
-) -> Box3D:
-    """Re-align the box to gravity and pick the best-projecting yaw.
+def correct_rotation(box: Box3D, scene_points) -> Box3D:
+    """Turn the box's height axis onto the scene's gravity, keeping its heading.
 
-    Gravity comes from :func:`estimate_gravity` over the scene points. Yaw
-    is searched exhaustively on a 1-degree grid over [0, 180): the 180
-    candidate boxes are projected and scored in one batch, and the first
-    yaw that beats the best so far by more than 1e-15 wins. The box's own
-    yaw is kept when it already achieves the grid minimum, so an aligned,
-    perfectly projecting box is a fixed point.
+    Gravity comes from :func:`estimate_gravity` over the scene points. The
+    heading is the direction of the box's first axis in the plane normal to
+    gravity. A box whose height axis is already within 1e-9 of that line is
+    returned as is. The yaw itself is left to :func:`fit_oriented_box`.
     """
     haxis = _height_axis(estimate_gravity(scene_points))
+    rot = box.rotation
+    if abs(float(rot[:, 1] @ haxis)) >= 1.0 - 1e-9:
+        return box
     u, v = _horizontal_basis(haxis)
-    candidates = [
-        Box3D(box.center, box.dims, matrix_to_quat(_yaw_rotation(math.radians(deg), u, v, haxis)))
-        for deg in range(180)
-    ]
-    values = _projection(np.stack([c.corners() for c in candidates]), box2d, camera)
-    best = None
-    best_val = math.inf
-    for k, val in enumerate(values.tolist()):
-        if val < best_val - 1e-15:
-            best_val = val
-            best = k
-
-    # Keep the current orientation when it is already gravity-aligned and
-    # no grid yaw beats it.
-    current_axis = box.rotation[:, 1]
-    if abs(float(current_axis @ haxis)) >= 1.0 - 1e-9:
-        current_val = projection_loss(box, box2d, camera)
-        if current_val <= best_val + 1e-12:
-            return box
-    return candidates[best]
+    yaw = math.atan2(float(rot[:, 0] @ v), float(rot[:, 0] @ u))
+    return Box3D(box.center, box.dims, matrix_to_quat(_yaw_rotation(yaw, u, v, haxis)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +615,7 @@ def lift_annotation(
     result = optimize_translation(fitted, a_pts, a_w, box2d, camera, grid_size)
     fallback = scale_depth_to_box2d(fitted, box2d, camera)
     selected, branch = adaptive_select(result.box, fallback, box2d, camera)
-    corrected = correct_rotation(selected, cloud.points, box2d, camera)
+    corrected = correct_rotation(selected, cloud.points)
 
     losses = {
         "inclusion": inclusion_loss(corrected, a_pts, a_w),

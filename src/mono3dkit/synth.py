@@ -36,10 +36,9 @@ class SynthSpec:
 
     n_boxes: int = 3
     dims_range: tuple[float, float] = (0.35, 0.55)
-    # Boxes are kept wider than tall. A dominant top face pins both the
-    # footprint rectangle and the translation refinement: most anchor
-    # points then sit on the one surface whose extent the camera sees
-    # without foreshortening.
+    # Boxes are kept wider than tall. A dominant top face pins the
+    # translation refinement: most anchor points then sit on the one
+    # surface whose extent the camera sees without foreshortening.
     height_range: tuple[float, float] | None = (0.14, 0.24)
     depth_range: tuple[float, float] = (1.5, 2.2)
     # Camera height above the ground plane. Keeping depth below about
