@@ -25,7 +25,7 @@ from .camera import CameraModel
 from .evaluation import Detection, GroundTruth, evaluate
 from .filters import geometric_filter, occlusion_ratio, ratio_filters, size_filter
 from .geometry import Box3D, iou3d, iou3d_monte_carlo
-from .lifting import check_grid_size, lift_annotation
+from .lifting import lift_annotation
 from .sampler import SamplerTargets, sample_eval_split
 from .synth import SynthSpec, synth_scene
 
@@ -203,7 +203,7 @@ def _cmd_eval(args) -> int:
 def _lift_one(ann, image, cloud, depth_map, instances, size_specs, args):
     mask = instances == ann.instance
     camera = image.camera
-    candidate = lift_annotation(cloud, mask, ann.box2d_obj(), camera, grid_size=args.grid_size, seed=args.seed)
+    candidate = lift_annotation(cloud, mask, ann.box2d_obj(), camera, seed=args.seed)
     record = {
         "annotation_id": ann.id,
         "image_id": ann.image_id,
@@ -247,8 +247,6 @@ def _read_rasters(image, depth_file: str, inst_file: str):
 
 
 def _cmd_lift(args) -> int:
-    with _input_errors("--grid-size: "):
-        check_grid_size(args.grid_size)
     ds = _read_dataset(args.dataset)
     size_specs = None
     if args.size_spec:
@@ -425,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default="candidates.json")
     p.add_argument("--size-spec", default=None)
     p.add_argument("--dataset-class", choices=("standard", "fine_grained"), default="standard")
-    p.add_argument("--grid-size", type=_positive_int, default=5)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=_cmd_lift)
 

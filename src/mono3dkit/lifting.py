@@ -4,8 +4,8 @@ The pipeline turns (point cloud, instance mask, 2D box, camera) into an
 oriented 3D box candidate:
 
     extract_object_points -> remove_outliers -> largest_cluster
-    -> fit_oriented_box -> optimize_translation -> adaptive_select
-    -> correct_rotation (gravity re-alignment; the fit alone sets the yaw)
+    -> fit_oriented_box (in the frame of estimate_gravity over the scene)
+    -> optimize_translation -> adaptive_select
 
 Only the anchor subsample draws random numbers, from the seed given to
 :func:`lift_annotation`; every other stage is deterministic. Distances are
@@ -41,7 +41,6 @@ __all__ = [
     "inclusion_loss",
     "tightness_loss",
     "projection_loss",
-    "check_grid_size",
     "optimize_translation",
     "scale_depth_to_box2d",
     "adaptive_select",
@@ -50,7 +49,8 @@ __all__ = [
     "lift_annotation",
 ]
 
-# Vertical axis of the camera frame (y points down in pixel space).
+# Vertical axis of a level camera's frame (y points down in pixel space);
+# estimate_gravity falls back to it.
 DEFAULT_GRAVITY = np.array([0.0, -1.0, 0.0])
 
 _BEHIND_CAMERA_PENALTY = 1e6
@@ -72,8 +72,9 @@ _LAMBDA_PROJECTION = 0.5
 _MAX_ITERATIONS = 100
 _F_TOL = 1e-6
 _FD_STEP = 1e-4
+_GRID_SIZE = 5  # lattice side; odd, so the unshifted center is a lattice point
 
-# Fallback selection and gravity re-alignment.
+# Fallback selection and gravity estimation.
 _PROJECTED_IOU_THRESHOLD = 0.4
 _MAX_TILT_DEG = 15.0
 
@@ -264,19 +265,20 @@ def _footprint_rectangle(fp: np.ndarray):
     return math.atan2(s, c), 0.5 * (lo + hi) @ rot.T, hi - lo
 
 
-def fit_oriented_box(points) -> Box3D:
-    """Gravity-aligned oriented box around a point cloud.
+def fit_oriented_box(points, gravity) -> Box3D:
+    """Oriented box around a point cloud, upright along ``gravity``.
 
-    The height axis follows ``DEFAULT_GRAVITY``; the footprint (points
-    projected along gravity) gets the hull-edge rectangle of best L-shape
-    closeness (:func:`_footprint_rectangle`); height spans the [1, 99]
-    percentile band of the vertical coordinate. The result's rotation is
-    yaw-only about gravity. Outliers
-    are the job of the stages before it (:func:`remove_outliers`,
-    :func:`largest_cluster`).
+    The height axis follows ``gravity`` (in practice :func:`estimate_gravity`
+    of the scene); the footprint (points projected onto the plane normal to
+    it) gets the hull-edge rectangle of best L-shape closeness
+    (:func:`_footprint_rectangle`); height spans the [1, 99] percentile band
+    of the coordinate along it. The result's rotation is a yaw about that
+    axis. Outliers are the job of the stages before it
+    (:func:`remove_outliers`, :func:`largest_cluster`).
 
     Args:
         points: (N, 3), N >= 10.
+        gravity: (3,) unit vector.
 
     Raises:
         ValueError: too few points, collinear footprint, or zero height.
@@ -284,7 +286,7 @@ def fit_oriented_box(points) -> Box3D:
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape[0] < 10:
         raise ValueError("need at least 10 points to fit a box")
-    haxis = _height_axis(DEFAULT_GRAVITY)
+    haxis = _height_axis(np.asarray(gravity, dtype=np.float64))
     u, v = _horizontal_basis(haxis)
 
     hcoord = pts @ haxis
@@ -425,23 +427,16 @@ def _translation_objective(box: Box3D, anchor_points, weights, box2d, camera):
     return objective
 
 
-def check_grid_size(grid_size: int) -> None:
-    """Raise ValueError unless the translation lattice has an odd, positive side."""
-    if grid_size < 1 or grid_size % 2 == 0:
-        raise ValueError("grid_size must be odd so the unshifted center is a grid point")
-
-
 def optimize_translation(
     candidate: Box3D,
     anchor_points,
     weights,
     box2d: Box2D,
     camera: CameraModel,
-    grid_size: int = 5,
 ) -> TranslationResult:
     """Refine the candidate's center; dims and rotation stay fixed.
 
-    Stage 1 evaluates the anchor/projection objective on a grid_size^3
+    Stage 1 evaluates the anchor/projection objective on a 5^3
     lattice spanning the box dims around the center (the center itself is a
     lattice point), all lattice points in one batched call; the first
     lattice point with the smallest loss wins. Stage 2 polishes it with
@@ -451,12 +446,11 @@ def optimize_translation(
     not improve, the lattice best is returned; the final loss never exceeds
     the lattice best.
     """
-    check_grid_size(grid_size)
     objective = _translation_objective(candidate, anchor_points, weights, box2d, camera)
     origin = candidate.center
     half_window = candidate.dims / 2.0
 
-    axes = [np.linspace(-hw, hw, grid_size) for hw in half_window]
+    axes = [np.linspace(-hw, hw, _GRID_SIZE) for hw in half_window]
     lattice = origin + np.array(list(itertools.product(*axes)))
     grid_values = objective(lattice)
     best = int(np.argmin(grid_values))
@@ -534,7 +528,7 @@ def adaptive_select(
 
 
 # ---------------------------------------------------------------------------
-# Gravity re-alignment
+# Gravity
 # ---------------------------------------------------------------------------
 
 
@@ -569,7 +563,8 @@ def correct_rotation(box: Box3D, scene_points) -> Box3D:
     Gravity comes from :func:`estimate_gravity` over the scene points. The
     heading is the direction of the box's first axis in the plane normal to
     gravity. A box whose height axis is already within 1e-9 of that line is
-    returned as is. The yaw itself is left to :func:`fit_oriented_box`.
+    returned as is. :func:`lift_annotation` no longer calls it: the box fit
+    already stands along the estimated gravity.
     """
     haxis = _height_axis(estimate_gravity(scene_points))
     rot = box.rotation
@@ -590,7 +585,6 @@ def lift_annotation(
     mask,
     box2d: Box2D,
     camera: CameraModel,
-    grid_size: int = 5,
     seed: int = 0,
 ) -> LiftCandidate:
     """Run the full lifting pipeline for one annotated object.
@@ -605,22 +599,21 @@ def lift_annotation(
     cluster = largest_cluster(cleaned)
     n_clustered = cluster.shape[0]
 
-    fitted = fit_oriented_box(cluster)
+    fitted = fit_oriented_box(cluster, estimate_gravity(cloud.points))
     # Anchors come from the full cleaned cloud, not the dominant cluster:
     # sparse but real surface points (grazing-angle faces) are what pin the
     # translation along the viewing ray.
     weights = anchor_weights(cleaned)
     a_pts, a_w = sample_anchors(cleaned, weights, seed=seed)
 
-    result = optimize_translation(fitted, a_pts, a_w, box2d, camera, grid_size)
+    result = optimize_translation(fitted, a_pts, a_w, box2d, camera)
     fallback = scale_depth_to_box2d(fitted, box2d, camera)
     selected, branch = adaptive_select(result.box, fallback, box2d, camera)
-    corrected = correct_rotation(selected, cloud.points)
 
     losses = {
-        "inclusion": inclusion_loss(corrected, a_pts, a_w),
-        "tightness": tightness_loss(corrected, a_pts),
-        "projection": projection_loss(corrected, box2d, camera),
+        "inclusion": inclusion_loss(selected, a_pts, a_w),
+        "tightness": tightness_loss(selected, a_pts),
+        "projection": projection_loss(selected, box2d, camera),
     }
     measurements = {
         "n_extracted": n_extracted,
@@ -632,4 +625,4 @@ def lift_annotation(
         "refined_loss": result.loss,
         "n_grid_evaluations": result.n_grid_evaluations,
     }
-    return LiftCandidate(box=corrected, status="optimized", losses=losses, measurements=measurements)
+    return LiftCandidate(box=selected, status="optimized", losses=losses, measurements=measurements)

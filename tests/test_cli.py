@@ -711,7 +711,7 @@ def case_symmetric_categories_not_text(tmp_path):
     return ["eval", gt, pred, "--symmetric-categories", str(sym), "--output", str(tmp_path / "r.json")], str(sym)
 
 
-FLAG_COMMANDS = {"--grid-size": "lift", "--max-dets": "eval", "--nms-iou": "eval", "--score-thresh": "eval"}
+FLAG_COMMANDS = {"--max-dets": "eval", "--nms-iou": "eval", "--score-thresh": "eval"}
 
 
 def command_argv(command, tmp_path):
@@ -848,8 +848,6 @@ BAD_INPUT_CASES = [
     case_sample_edit("negative_version", lambda doc: doc.update(version=-3), "unsupported version -3"),
     case_sample_edit("text_annotation", lambda doc: doc.update(annotations=["x"]), "annotations[0] must be an object, got 'x'"),
     case_symmetric_categories_not_text,
-    case_flag("--grid-size", "4"),
-    case_flag("--grid-size", "0"),
     case_flag("--max-dets", "0"),
     case_flag("--max-dets", "-1"),
     case_flag("--boxes", "0"),

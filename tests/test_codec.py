@@ -10,6 +10,7 @@ from mono3dkit import (
     Box3D,
     BoxEncoding12,
     CameraModel,
+    backproject,
     confidence_target,
     decode_box,
     depth_quality,
@@ -34,6 +35,15 @@ def random_box(rng):
     dims = rng.uniform(0.2, 5.0, size=3)
     quat = rng.normal(size=4)
     return Box3D(center=center, dims=dims, quaternion=quat)
+
+
+def wide_range_case(rng):
+    """Log-uniform depth in 0.1-200 m and dims in 0.05-20 m, centered on a uniform pixel of the view."""
+    pixel = rng.uniform([0.0, 0.0], [CAM.width, CAM.height])
+    center = backproject(CAM, pixel, np.asarray(math.exp(rng.uniform(math.log(0.1), math.log(200.0)))))
+    dims = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=3))
+    box = canonical(Box3D(center=center, dims=dims, quaternion=rng.normal(size=4)))
+    return box, Box2D(*(pixel - rng.uniform(1.0, 200.0, 2)), *(pixel + rng.uniform(1.0, 200.0, 2)))
 
 
 def canonical(box):
@@ -95,14 +105,17 @@ class TestEncode:
 
 class TestDecode:
     def test_inverts_encode_on_canonical_boxes(self):
+        """Decode backprojects the encoded pixel at exp(log z), so the center
+        is off by a few ulps relative to depth and the dims by a few ulps of
+        themselves, at every depth and size."""
         rng = np.random.default_rng(1)
-        for _ in range(300):
-            box = canonical(random_box(rng))
-            box2d = Box2D(100.0, 80.0, 500.0, 400.0)
+        cases = [(canonical(random_box(rng)), Box2D(100.0, 80.0, 500.0, 400.0)) for _ in range(300)]
+        cases += [wide_range_case(rng) for _ in range(2000)]
+        for box, box2d in cases:
             dec = decode_box(encode_box(box, box2d, CAM), box2d, CAM)
-            assert np.allclose(dec.center, box.center, atol=1e-9)
-            assert np.allclose(dec.dims, box.dims, rtol=1e-12)
-            assert rotation_angle(dec.quaternion, box.quaternion) < 1e-7
+            assert np.linalg.norm(dec.center - box.center) <= 1e-12 * box.center[2]
+            assert np.all(np.abs(dec.dims - box.dims) <= 1e-12 * box.dims)
+            assert np.abs(dec.rotation - box.rotation).max() <= 1e-12
 
     def test_general_boxes_decode_to_canonical_form(self):
         rng = np.random.default_rng(2)
